@@ -2,7 +2,7 @@
 
 Global exploration is a binary differential evolution whose control
 parameters follow the population's fitness spread: a tight population gets a
-strong mutation scale and a weak crossover rate, a scattered one the
+weak mutation scale and a strong crossover rate, a scattered one the
 opposite. The best individual of each generation is refined by a tabu local
 search over bit flips and selected/unselected swaps, and the refined mask
 replaces it when strictly better.
@@ -91,18 +91,40 @@ class SelectionResult:
     total_evaluations: int
 
 
+def _checked_masks(masks, n_features: int, ndim: int) -> np.ndarray:
+    """Masks as a C-contiguous uint8 array of `ndim` dimensions.
+
+    Rows must be n_features wide and hold only 0 and 1, as in
+    criterion.as_mask; a uint8 input is checked with a single max().
+    """
+    arr = np.asarray(masks)
+    if arr.ndim != ndim or arr.shape[-1] != n_features:
+        raise ValueError(f"expected masks of {n_features} bits, got shape {arr.shape}")
+    if arr.dtype == np.uint8:
+        if arr.size and arr.max() > 1:
+            raise ValueError("mask entries must be 0 or 1")
+    elif arr.dtype.kind not in "biuf" or not ((arr == 0) | (arr == 1)).all():
+        raise ValueError("mask entries must be 0 or 1")
+    return np.ascontiguousarray(arr, dtype=np.uint8)
+
+
 class FitnessCache:
     """Memoized subset fitness over one dataset.
 
     Keys are the raw mask bytes. `evaluations` counts distinct masks actually
     computed; cache hits do not move it. batch() deduplicates its inputs in
     first-occurrence order before (optionally parallel) computation, so the
-    counter and the stored values never depend on the worker count.
+    counter and the stored values never depend on the worker count. Masks
+    that are not 0/1 vectors of the dataset's width are rejected before any
+    lookup. `neighborhoods` is the tabu walk's per-mask move table, kept here
+    so it lives exactly as long as the memoized values it mirrors.
     """
 
     def __init__(self, ds: Dataset, kcfg: KernelConfig, workers: int = 0):
         self._engine = CriterionEngine(ds, kcfg)
+        self._n_features = ds.n_features
         self._table: dict[bytes, float] = {}
+        self.neighborhoods: dict[bytes, tuple] = {}
         self.evaluations = 0
         self._pool = (
             ThreadPoolExecutor(max_workers=workers) if workers and workers > 1 else None
@@ -119,7 +141,7 @@ class FitnessCache:
         return self._engine.evaluate(mask).gc
 
     def __call__(self, mask) -> float:
-        arr = np.asarray(mask, dtype=np.uint8)
+        arr = _checked_masks(mask, self._n_features, ndim=1)
         key = arr.tobytes()
         hit = self._table.get(key)
         if hit is not None:
@@ -130,22 +152,22 @@ class FitnessCache:
         return value
 
     def batch(self, masks) -> list[float]:
-        arrs = [np.asarray(m, dtype=np.uint8) for m in masks]
-        keys = [a.tobytes() for a in arrs]
-        missing: dict[bytes, np.ndarray] = {}
-        for key, arr in zip(keys, arrs):
-            if key not in self._table and key not in missing:
-                missing[key] = arr
-        if missing:
-            todo = list(missing.values())
-            if self._pool is not None and len(todo) > 1:
-                values = list(self._pool.map(self._compute, todo))
+        """Fitness of each mask; `masks` is a sequence of masks or an (M, N) array."""
+        if len(masks) == 0:
+            return []
+        arr = _checked_masks(masks, self._n_features, ndim=2)
+        keys = arr.view(f"V{self._n_features}").ravel().tolist()
+        table = self._table
+        todo = [key for key in dict.fromkeys(keys) if key not in table]
+        if todo:
+            rows = [np.frombuffer(key, dtype=np.uint8) for key in todo]
+            if self._pool is not None and len(rows) > 1:
+                values = list(self._pool.map(self._compute, rows))
             else:
-                values = [self._compute(a) for a in todo]
-            for key, value in zip(missing.keys(), values):
-                self._table[key] = value
-                self.evaluations += 1
-        return [self._table[k] for k in keys]
+                values = [self._compute(row) for row in rows]
+            table.update(zip(todo, values))
+            self.evaluations += len(todo)
+        return [table[key] for key in keys]
 
 
 def fitness(mask, ds: Dataset, kcfg: KernelConfig = KernelConfig()) -> float:
@@ -217,30 +239,38 @@ def bde_select(target, trial, fitness_fn) -> np.ndarray:
     return trial if fitness_fn(trial) >= fitness_fn(target) else target
 
 
-def _neighborhood_moves(mask: np.ndarray) -> list[tuple[int, ...]]:
-    """Single-bit flips plus (selected, unselected) swaps.
+def _neighborhood(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Moves of a mask as (first, second) position arrays.
 
-    A move is the tuple of positions it toggles. Flips that would empty the
-    mask are excluded so the walk never leaves the feasible space.
+    A move toggles `first`, and `second` too unless it equals the mask
+    width, the sentinel of a single-bit flip. Flips come first, in position
+    order, except the flip of a last selected bit, so the walk never leaves
+    the feasible space; then the (selected, unselected) swaps, selected-major.
     """
-    selected = np.flatnonzero(mask == 1)
+    n = mask.size
+    selected = np.flatnonzero(mask)
     unselected = np.flatnonzero(mask == 0)
-    moves: list[tuple[int, ...]] = []
-    for p in range(mask.size):
-        if mask[p] == 1 and selected.size == 1:
-            continue
-        moves.append((int(p),))
-    for p in selected:
-        for q in unselected:
-            moves.append((int(p), int(q)))
-    return moves
+    flips = unselected if selected.size == 1 else np.arange(n)
+    first = np.concatenate([flips, np.repeat(selected, unselected.size)])
+    second = np.concatenate([np.full(flips.size, n), np.tile(unselected, selected.size)])
+    return first, second
 
 
-def _apply_move(mask: np.ndarray, move: tuple[int, ...]) -> np.ndarray:
-    out = mask.copy()
-    for p in move:
-        out[p] ^= 1
-    return out
+def _toggled(mask: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """(M, N) array of `mask` with each move's positions toggled."""
+    n = mask.size
+    rows = np.arange(first.size)
+    out = np.zeros((first.size, n + 1), dtype=np.uint8)
+    out[:, :n] = mask
+    out[rows, first] ^= 1
+    out[rows, second] ^= 1
+    return out[:, :n]
+
+
+def _score(fitness_fn, masks: np.ndarray) -> np.ndarray:
+    if hasattr(fitness_fn, "batch"):
+        return np.asarray(fitness_fn.batch(masks), dtype=np.float64)
+    return np.array([fitness_fn(m) for m in masks], dtype=np.float64)
 
 
 def ts_local_search(start, cfg: MAConfig, fitness_fn, rng, trace=None) -> np.ndarray:
@@ -252,7 +282,13 @@ def ts_local_search(start, cfg: MAConfig, fitness_fn, rng, trace=None) -> np.nda
     iterations. A tabu move is admissible anyway when it beats the best
     fitness seen so far. If every move is tabu and none aspirates, the best
     forbidden move is taken so the walk cannot stall. Accepted moves may be
-    worse than the current mask; that is the escape mechanism.
+    worse than the current mask; that is the escape mechanism. Ties go to
+    the first move in neighborhood order.
+
+    A mask's moves and their fitnesses are built and scored once, on its
+    first visit, into a table keyed by the mask's bytes (the cache's
+    `neighborhoods` when fitness_fn has one, else a table for this call);
+    neighborhoods larger than 500 moves keep only their moves there.
 
     `trace`, if given, receives (iteration, touched_positions, fitness) per
     accepted move.
@@ -260,45 +296,49 @@ def ts_local_search(start, cfg: MAConfig, fitness_fn, rng, trace=None) -> np.nda
     current = np.asarray(start, dtype=np.uint8).copy()
     if not current.any():
         raise ValueError("empty start mask")
-    best = current.copy()
+    n = current.size
+    best = current
     best_f = fitness_fn(current)
-    expiry: dict[int, int] = {}
+    table = getattr(fitness_fn, "neighborhoods", None)
+    if table is None:
+        table = {}
+    # expiry[p]: first iteration at which position p is free again; slot n
+    # is the flips' second position and is never tabu.
+    expiry = np.zeros(n + 1, dtype=np.int64)
     for it in range(1, cfg.ts_iters + 1):
-        moves = _neighborhood_moves(current)
-        if not moves:
-            break
-        if len(moves) > _TS_CANDIDATE_CAP:
-            pick = rng.choice(len(moves), size=_TS_CANDIDATE_CAP, replace=False)
+        key = current.tobytes()
+        entry = table.get(key)
+        if entry is None:
+            first, second = _neighborhood(current)
+            if first.size == 0:
+                break
+            fits = None
+            if first.size <= _TS_CANDIDATE_CAP:
+                fits = _score(fitness_fn, _toggled(current, first, second))
+            entry = table[key] = (first, second, fits)
+        first, second, fits = entry
+        if fits is None:
+            pick = rng.choice(first.size, size=_TS_CANDIDATE_CAP, replace=False)
             pick.sort()
-            moves = [moves[p] for p in pick]
-        candidates = [_apply_move(current, mv) for mv in moves]
-        if hasattr(fitness_fn, "batch"):
-            fits = fitness_fn.batch(candidates)
+            first, second = first[pick], second[pick]
+            fits = _score(fitness_fn, _toggled(current, first, second))
+        free = np.maximum(expiry[first], expiry[second]) <= it
+        admissible = (free | (fits > best_f)).nonzero()[0]
+        if admissible.size:
+            idx = int(admissible[fits[admissible].argmax()])
         else:
-            fits = [fitness_fn(m) for m in candidates]
-        chosen = None
-        chosen_f = -np.inf
-        chosen_mask = None
-        banned = None
-        banned_f = -np.inf
-        banned_mask = None
-        for mv, m, f in zip(moves, candidates, fits):
-            tabu = any(expiry.get(p, 0) > it for p in mv)
-            if not tabu or f > best_f:
-                if f > chosen_f:
-                    chosen, chosen_f, chosen_mask = mv, f, m
-            elif f > banned_f:
-                banned, banned_f, banned_mask = mv, f, m
-        if chosen is None:
-            chosen, chosen_f, chosen_mask = banned, banned_f, banned_mask
-        current = chosen_mask
-        for p in chosen:
+            idx = int(fits.argmax())
+        chosen_f = fits[idx]
+        current = current.copy()
+        move = (int(first[idx]),) if second[idx] == n else (int(first[idx]), int(second[idx]))
+        for p in move:
+            current[p] ^= 1
             expiry[p] = it + cfg.tl
         if chosen_f > best_f:
-            best = current.copy()
+            best = current
             best_f = chosen_f
         if trace is not None:
-            trace.append((it, tuple(chosen), float(chosen_f)))
+            trace.append((it, move, float(chosen_f)))
     return best
 
 
@@ -349,7 +389,7 @@ def run_ma(
         pop = init_population(ds.n_features, cfg, cache, rng)
         log: list[GenerationRecord] = []
         terminated_by = "generation_limit"
-        fits = np.asarray(cache.batch(list(pop)))
+        fits = np.asarray(cache.batch(pop))
         for g in range(1, cfg.g_max + 1):
             sigma_sq = group_variance(fits)
             f_g, cr_g = adapt_params(sigma_sq, cfg)
@@ -357,7 +397,7 @@ def run_ma(
             for i in range(cfg.np):
                 mutant = bde_mutate(pop, i, f_g, rng)
                 trials[i] = bde_crossover(pop[i], mutant, cr_g, rng)
-            trial_fits = np.asarray(cache.batch(list(trials)))
+            trial_fits = np.asarray(cache.batch(trials))
             keep = trial_fits >= fits
             pop = np.where(keep[:, None], trials, pop).astype(np.uint8)
             fits = np.where(keep, trial_fits, fits)

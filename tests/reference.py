@@ -1,11 +1,20 @@
-"""Brute-force transcription of the subset criterion in plain Python.
+"""Independent reference implementations for equivalence tests.
 
-Kept deliberately free of numpy and of the package's own distance, kernel
-and neighbor code, so equivalence tests compare two genuinely independent
-implementations. Inputs are plain nested lists.
+reference_criterion is a brute-force transcription of the subset criterion
+in plain Python, kept deliberately free of numpy and of the package's own
+distance, kernel and neighbor code, so equivalence tests compare two
+genuinely independent implementations. Its inputs are plain nested lists.
+
+reference_ts_local_search is the list-based tabu walk that the array-native
+frsel.memetic.ts_local_search replaced; differential tests require both to
+produce the same trace, result and RNG state.
 """
 
+from __future__ import annotations
+
 import math
+
+import numpy as np
 
 
 def reference_criterion(samples, labels, selected, delta, per_feature_normalization, n_k):
@@ -67,3 +76,92 @@ def random_grid_case(rng, max_samples=8, max_features=4):
     normalization = bool(rng.integers(2))
     n_k = int(rng.integers(1, 5))
     return samples, labels, selected, delta, normalization, n_k
+
+
+# Largest tabu neighborhood scanned exactly; bigger ones are subsampled.
+_TS_CANDIDATE_CAP = 500
+
+
+def _neighborhood_moves(mask: np.ndarray) -> list[tuple[int, ...]]:
+    """Single-bit flips plus (selected, unselected) swaps.
+
+    A move is the tuple of positions it toggles. Flips that would empty the
+    mask are excluded so the walk never leaves the feasible space.
+    """
+    selected = np.flatnonzero(mask == 1)
+    unselected = np.flatnonzero(mask == 0)
+    moves: list[tuple[int, ...]] = []
+    for p in range(mask.size):
+        if mask[p] == 1 and selected.size == 1:
+            continue
+        moves.append((int(p),))
+    for p in selected:
+        for q in unselected:
+            moves.append((int(p), int(q)))
+    return moves
+
+
+def _apply_move(mask: np.ndarray, move: tuple[int, ...]) -> np.ndarray:
+    out = mask.copy()
+    for p in move:
+        out[p] ^= 1
+    return out
+
+
+def reference_ts_local_search(start, cfg: MAConfig, fitness_fn, rng, trace=None) -> np.ndarray:
+    """Tabu walk from a non-empty mask; returns the best mask encountered.
+
+    Each iteration scans the neighborhood (subsampled to 500 moves when
+    larger), takes the best move whose touched positions are all off the
+    tabu list, and marks those positions tabu for the next cfg.tl
+    iterations. A tabu move is admissible anyway when it beats the best
+    fitness seen so far. If every move is tabu and none aspirates, the best
+    forbidden move is taken so the walk cannot stall. Accepted moves may be
+    worse than the current mask; that is the escape mechanism.
+
+    `trace`, if given, receives (iteration, touched_positions, fitness) per
+    accepted move.
+    """
+    current = np.asarray(start, dtype=np.uint8).copy()
+    if not current.any():
+        raise ValueError("empty start mask")
+    best = current.copy()
+    best_f = fitness_fn(current)
+    expiry: dict[int, int] = {}
+    for it in range(1, cfg.ts_iters + 1):
+        moves = _neighborhood_moves(current)
+        if not moves:
+            break
+        if len(moves) > _TS_CANDIDATE_CAP:
+            pick = rng.choice(len(moves), size=_TS_CANDIDATE_CAP, replace=False)
+            pick.sort()
+            moves = [moves[p] for p in pick]
+        candidates = [_apply_move(current, mv) for mv in moves]
+        if hasattr(fitness_fn, "batch"):
+            fits = fitness_fn.batch(candidates)
+        else:
+            fits = [fitness_fn(m) for m in candidates]
+        chosen = None
+        chosen_f = -np.inf
+        chosen_mask = None
+        banned = None
+        banned_f = -np.inf
+        banned_mask = None
+        for mv, m, f in zip(moves, candidates, fits):
+            tabu = any(expiry.get(p, 0) > it for p in mv)
+            if not tabu or f > best_f:
+                if f > chosen_f:
+                    chosen, chosen_f, chosen_mask = mv, f, m
+            elif f > banned_f:
+                banned, banned_f, banned_mask = mv, f, m
+        if chosen is None:
+            chosen, chosen_f, chosen_mask = banned, banned_f, banned_mask
+        current = chosen_mask
+        for p in chosen:
+            expiry[p] = it + cfg.tl
+        if chosen_f > best_f:
+            best = current.copy()
+            best_f = chosen_f
+        if trace is not None:
+            trace.append((it, tuple(chosen), float(chosen_f)))
+    return best

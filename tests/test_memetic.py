@@ -2,11 +2,11 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import frsel.memetic as memetic
-from conftest import standardize
+from conftest import make_dataset, standardize
 from frsel import (
     EMPTY_MASK_FITNESS,
     FitnessCache,
@@ -30,6 +30,7 @@ from frsel import (
 )
 from frsel.criterion import hex_to_mask, popcount
 from frsel.memetic import runlog_record_dict
+from reference import reference_ts_local_search
 
 
 def bits(text: str) -> np.ndarray:
@@ -269,6 +270,87 @@ class TestTabuSearch:
         assert out.tolist() == [1]
 
 
+def rounded_weight_fitness(n: int, seed: int):
+    """Linear plus pairwise terms on a 0.5 grid, rounded: ties everywhere."""
+    rng = np.random.default_rng(seed)
+    w = np.round(rng.normal(size=n) * 2) / 2
+    pair = np.round(rng.normal(size=(n, n))) / 2
+
+    def f(mask):
+        m = np.asarray(mask, dtype=np.float64)
+        return round(float(w @ m + m @ pair @ m) / 4, 0) / 4
+
+    return f
+
+
+def random_start(n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed + 1)
+    return repair_empty(rng.integers(0, 2, n, dtype=np.uint8), rng)
+
+
+def walk_both(start, cfg, fitness_ref, fitness_new, rng_seed):
+    """Run the reference and the package walk; return both (trace, mask, rng)."""
+    out = []
+    for walk, fn in ((reference_ts_local_search, fitness_ref), (ts_local_search, fitness_new)):
+        rng = np.random.default_rng(rng_seed)
+        trace = []
+        best = walk(start.copy(), cfg, fn, rng, trace=trace)
+        out.append((trace, best, rng.bit_generator.state))
+    return out
+
+
+class TestTabuMatchesReference:
+    """The array-native walk reproduces the list-based walk it replaced."""
+
+    @given(
+        n=st.integers(1, 50),
+        tl=st.integers(0, 12),
+        iters=st.integers(0, 25),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=48, tl=3, iters=8, seed=1)
+    @example(n=3, tl=10, iters=12, seed=7)
+    @settings(max_examples=60, deadline=None)
+    def test_plain_callable(self, n, tl, iters, seed):
+        f = rounded_weight_fitness(n, seed)
+        cfg = MAConfig(tl=tl, ts_iters=iters)
+        (ref_trace, ref_best, ref_rng), (trace, best, rng) = walk_both(
+            random_start(n, seed), cfg, f, f, seed
+        )
+        assert trace == ref_trace
+        assert best.dtype == np.uint8
+        assert best.tolist() == ref_best.tolist()
+        assert rng == ref_rng
+
+    @given(
+        n=st.integers(1, 50),
+        tl=st.integers(0, 8),
+        iters=st.integers(0, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=46, tl=2, iters=4, seed=3)
+    @settings(max_examples=12, deadline=None)
+    def test_fitness_cache(self, n, tl, iters, seed):
+        # two walks in a row per cache, so the second one revisits masks
+        # whose neighborhoods the first one stored on the cache
+        rng = np.random.default_rng(seed)
+        labels = [0, 1] * 5
+        ds = standardize(make_dataset(np.round(rng.normal(size=(10, n)), 1), labels))
+        ref_cache = FitnessCache(ds, KernelConfig())
+        cache = FitnessCache(ds, KernelConfig())
+        cfg = MAConfig(tl=tl, ts_iters=iters)
+        start = random_start(n, seed)
+        for _ in range(2):
+            (ref_trace, ref_best, ref_rng), (trace, best, rng_state) = walk_both(
+                start, cfg, ref_cache, cache, seed
+            )
+            assert trace == ref_trace
+            assert best.tolist() == ref_best.tolist()
+            assert rng_state == ref_rng
+            assert cache.evaluations == ref_cache.evaluations
+            start = best
+
+
 class TestRepairAndInit:
     def test_repair_sets_exactly_one_bit(self):
         rng = np.random.default_rng(0)
@@ -357,6 +439,39 @@ class TestFitnessCache:
         cache = FitnessCache(ds, KernelConfig())
         m = bits("101010")
         assert cache(m) == fitness(m, ds, KernelConfig())
+
+    @pytest.mark.parametrize("bad", [
+        [1, 1, 0, 0, 0, 256],
+        [256, 0, 0, 0, 0, 0],
+        [0.0, 0, 0],
+        [1.7, 1, 0, 0, 0, 0],
+        [1, 0, 0, 0, 0, -1],
+        [[1, 0, 0, 0, 0, 0]],
+    ])
+    def test_rejects_non_mask_input(self, bad):
+        cache = FitnessCache(tiny_dataset(), KernelConfig())
+        with pytest.raises(ValueError):
+            cache(bad)
+        with pytest.raises(ValueError):
+            cache.batch([bad])
+        assert cache.evaluations == 0
+
+    def test_rejected_batch_evaluates_nothing(self):
+        cache = FitnessCache(tiny_dataset(), KernelConfig())
+        with pytest.raises(ValueError, match="0 or 1"):
+            cache.batch([bits("110000"), [1, 1, 0, 0, 0, 2]])
+        assert cache.evaluations == 0
+        assert cache.batch([]) == []
+
+    def test_batch_accepts_2d_arrays_and_other_dtypes(self):
+        cache = FitnessCache(tiny_dataset(), KernelConfig())
+        masks = np.array([bits("100100"), bits("011000")])
+        expected = cache.batch(list(masks))
+        assert cache.batch(masks) == expected
+        assert cache.batch(masks.astype(bool)) == expected
+        assert cache.batch(masks.astype(np.float64).tolist()) == expected
+        assert cache(masks[0].astype(np.int64)) == expected[0]
+        assert cache.evaluations == 2
 
     def test_close_is_idempotent(self):
         cache = FitnessCache(tiny_dataset(), KernelConfig(), workers=2)
