@@ -19,6 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
+from frsel.cli import main
+
 GOLDEN_DIR = Path(__file__).resolve().parent
 OUTPUTS = ("selection.json", "runlog.jsonl", "metrics.json")
 
@@ -44,8 +46,6 @@ def _write_csv(path: Path, samples: np.ndarray, labels) -> None:
 
 
 def _make_data(name: str, path: Path) -> None:
-    from frsel.cli import main
-
     if name == "synth10":
         main(["synth", "--seed", "0", "--out", str(path.parent)])
         (path.parent / "synth.csv").replace(path)
@@ -65,8 +65,6 @@ def _make_data(name: str, path: Path) -> None:
 
 
 def regenerate(name: str) -> None:
-    from frsel.cli import main
-
     case_dir = GOLDEN_DIR / name
     case_dir.mkdir(exist_ok=True)
     data = case_dir / "data.csv"
@@ -77,6 +75,5 @@ def regenerate(name: str) -> None:
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, str(GOLDEN_DIR.parents[1] / "src"))
     for case in sys.argv[1:] or CASES:
         regenerate(case)
