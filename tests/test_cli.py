@@ -7,6 +7,7 @@ import pytest
 
 from frsel import Dataset, SynthSpec, load_csv, save_csv, synth_clusters
 from frsel.cli import main
+from golden.make_golden import GOLDEN_DIR
 
 FAST_MA = [
     "--ma.np=6", "--ma.g_max=3", "--ma.ts_iters=4", "--ma.tl=3",
@@ -149,6 +150,12 @@ class TestSynth:
         assert ds.n_features == 10
         text = (tmp_path / "synth.csv").read_text()
         assert text.splitlines()[0].count(",") == 10  # 10 features + label
+
+    def test_reproduces_golden_bytes(self, tmp_path):
+        assert main(["synth", "--seed", "0", "--out", str(tmp_path)]) == 0
+        golden = GOLDEN_DIR / "synth10" / "data.csv"
+        assert (tmp_path / "synth.csv").read_bytes() == golden.read_bytes()
+        assert [p.name for p in tmp_path.iterdir()] == ["synth.csv"]
 
     def test_roundtrip_through_select(self, tmp_path):
         assert main(["synth", "--out", str(tmp_path),
