@@ -1,9 +1,11 @@
-"""Reference optimizers sharing the memetic module's fitness and logging.
+"""Reference optimizers run by the memetic module's driver.
 
 Three kinds are provided for head-to-head studies: a tournament GA with
-elitism, a sigmoid-transfer binary PSO, and the plain binary DE (fixed
-control parameters, no local refinement). Each honors the same determinism
-and termination contracts as run_ma, so comparison tables mix them freely.
+elitism, a sigmoid-transfer binary PSO, and the plain binary DE. Plain BDE
+is run_ma with F = 0.65 and CR = 0.55 fixed, no initial neighbour
+refinement and no tabu walk. GA and BPSO are step functions of the same
+driver as run_ma, so all kinds share its seeding, fitness cache, run log and
+termination contract, and comparison tables mix them freely.
 """
 
 from __future__ import annotations
@@ -19,16 +21,19 @@ import numpy as np
 from .criterion import KernelConfig
 from .datasets import Dataset
 from .memetic import (
-    FitnessCache,
-    GenerationRecord,
     MAConfig,
     SelectionResult,
-    bde_crossover,
-    bde_mutate,
+    _drive,
+    _population_start,
+    _population_step,
+    _Step,
     group_variance,
     repair_empty,
     run_ma,
 )
+
+# Unused here, but bench/spans.py wraps these names in this module's namespace.
+from .memetic import bde_crossover, bde_mutate  # noqa: F401
 
 BASELINE_KINDS = ("GA", "BPSO", "BDE")
 
@@ -73,165 +78,72 @@ class BaselineConfig:
             raise ValueError("pso_vmax must be positive")
 
 
-def _random_population(n_pop: int, n_features: int, rng) -> np.ndarray:
-    pop = rng.integers(0, 2, size=(n_pop, n_features), dtype=np.uint8)
-    for i in range(n_pop):
-        repair_empty(pop[i], rng)
-    return pop
-
-
-def _record(g, fits, best_f, best_mask, f_g, cr_g, cache, t0) -> GenerationRecord:
-    return GenerationRecord(
-        g=g,
-        best_fitness=float(best_f),
-        mean_fitness=float(np.mean(fits)),
-        sigma_sq=group_variance(fits),
-        f_g=f_g,
-        cr_g=cr_g,
-        best_mask=np.asarray(best_mask, dtype=np.uint8).copy(),
-        evaluations_so_far=cache.evaluations,
-        elapsed_ms=(time.perf_counter() - t0) * 1000.0,
-    )
-
-
 def _tournament(fits: np.ndarray, rng) -> int:
     a, b = rng.integers(fits.size, size=2)
     return int(a) if fits[int(a)] >= fits[int(b)] else int(b)
 
 
-def _run_ga(ds: Dataset, kcfg: KernelConfig, cfg: BaselineConfig, workers: int) -> SelectionResult:
-    rng = np.random.default_rng(cfg.seed)
-    cache = FitnessCache(ds, kcfg, workers=workers)
-    try:
-        t0 = time.perf_counter()
-        n = ds.n_features
-        pop = _random_population(cfg.np, n, rng)
-        fits = np.asarray(cache.batch(list(pop)))
-        log: list[GenerationRecord] = []
-        terminated_by = "generation_limit"
-        for g in range(1, cfg.g_max + 1):
-            elite = pop[int(np.argmax(fits))].copy()
-            children = [elite]
-            while len(children) < cfg.np:
-                a = _tournament(fits, rng)
-                b = _tournament(fits, rng)
-                if rng.random() < cfg.ga_crossover:
-                    from_a = rng.random(n) < 0.5
-                    child = np.where(from_a, pop[a], pop[b]).astype(np.uint8)
-                else:
-                    child = pop[a].copy()
-                flips = rng.random(n) < cfg.ga_mutation
-                child = np.bitwise_xor(child, flips.astype(np.uint8))
-                repair_empty(child, rng)
-                children.append(child)
-            pop = np.stack(children)
-            fits = np.asarray(cache.batch(list(pop)))
-            best_idx = int(np.argmax(fits))
-            log.append(_record(g, fits, fits[best_idx], pop[best_idx], None, None, cache, t0))
-            if log[-1].best_fitness > cfg.fitness_stop:
-                terminated_by = "fitness_stop"
-                break
-        best_idx = int(np.argmax(fits))
-        return SelectionResult(
-            best_mask=pop[best_idx].copy(),
-            best_fitness=float(fits[best_idx]),
-            log=log,
-            terminated_by=terminated_by,
-            total_evaluations=cache.evaluations,
+def _ga_step(cfg: BaselineConfig, state, cache, rng):
+    """One GA generation: the elite survives, tournaments breed the rest."""
+    pop, fits = state
+    n = pop.shape[1]
+    elite = pop[int(np.argmax(fits))].copy()
+    children = [elite]
+    while len(children) < cfg.np:
+        a = _tournament(fits, rng)
+        b = _tournament(fits, rng)
+        if rng.random() < cfg.ga_crossover:
+            from_a = rng.random(n) < 0.5
+            child = np.where(from_a, pop[a], pop[b]).astype(np.uint8)
+        else:
+            child = pop[a].copy()
+        flips = rng.random(n) < cfg.ga_mutation
+        child = np.bitwise_xor(child, flips.astype(np.uint8))
+        repair_empty(child, rng)
+        children.append(child)
+    pop = np.stack(children)
+    fits = np.asarray(cache.batch(pop))
+    return (pop, fits), _population_step(pop, fits, group_variance(fits))
+
+
+def _bpso_start(cfg: BaselineConfig, n_features: int, cache, rng):
+    (pos, fits), _ = _population_start(cfg, n_features, cache, rng)
+    vel = np.zeros(pos.shape, dtype=np.float64)
+    g_idx = int(np.argmax(fits))
+    gbest, gbest_f = pos[g_idx].copy(), float(fits[g_idx])
+    state = (pos, vel, pos.copy(), fits.copy(), gbest, gbest_f)
+    return state, _Step(gbest, gbest_f, fits, group_variance(fits))
+
+
+def _bpso_step(cfg: BaselineConfig, state, cache, rng):
+    """One BPSO generation; the reported best is the swarm's best so far."""
+    pos, vel, pbest, pbest_f, gbest, gbest_f = state
+    n = pos.shape[1]
+    for i in range(cfg.np):
+        u1 = rng.random(n)
+        u2 = rng.random(n)
+        here = pos[i].astype(np.float64)
+        vel[i] = (
+            cfg.pso_inertia * vel[i]
+            + cfg.pso_c1 * u1 * (pbest[i].astype(np.float64) - here)
+            + cfg.pso_c2 * u2 * (gbest.astype(np.float64) - here)
         )
-    finally:
-        cache.close()
+        np.clip(vel[i], -cfg.pso_vmax, cfg.pso_vmax, out=vel[i])
+        transfer = 1.0 / (1.0 + np.exp(-vel[i]))
+        pos[i] = (rng.random(n) < transfer).astype(np.uint8)
+        repair_empty(pos[i], rng)
+    fits = np.asarray(cache.batch(pos))
+    improved = fits > pbest_f
+    pbest[improved] = pos[improved]
+    pbest_f[improved] = fits[improved]
+    g_idx = int(np.argmax(pbest_f))
+    if float(pbest_f[g_idx]) > gbest_f:
+        gbest, gbest_f = pbest[g_idx].copy(), float(pbest_f[g_idx])
+    state = (pos, vel, pbest, pbest_f, gbest, gbest_f)
+    return state, _Step(gbest, gbest_f, fits, group_variance(fits))
 
 
-def _run_bpso(ds: Dataset, kcfg: KernelConfig, cfg: BaselineConfig, workers: int) -> SelectionResult:
-    rng = np.random.default_rng(cfg.seed)
-    cache = FitnessCache(ds, kcfg, workers=workers)
-    try:
-        t0 = time.perf_counter()
-        n = ds.n_features
-        pos = _random_population(cfg.np, n, rng)
-        vel = np.zeros((cfg.np, n), dtype=np.float64)
-        fits = np.asarray(cache.batch(list(pos)))
-        pbest = pos.copy()
-        pbest_f = fits.copy()
-        g_idx = int(np.argmax(pbest_f))
-        gbest = pbest[g_idx].copy()
-        gbest_f = float(pbest_f[g_idx])
-        log: list[GenerationRecord] = []
-        terminated_by = "generation_limit"
-        for g in range(1, cfg.g_max + 1):
-            for i in range(cfg.np):
-                u1 = rng.random(n)
-                u2 = rng.random(n)
-                here = pos[i].astype(np.float64)
-                vel[i] = (
-                    cfg.pso_inertia * vel[i]
-                    + cfg.pso_c1 * u1 * (pbest[i].astype(np.float64) - here)
-                    + cfg.pso_c2 * u2 * (gbest.astype(np.float64) - here)
-                )
-                np.clip(vel[i], -cfg.pso_vmax, cfg.pso_vmax, out=vel[i])
-                transfer = 1.0 / (1.0 + np.exp(-vel[i]))
-                pos[i] = (rng.random(n) < transfer).astype(np.uint8)
-                repair_empty(pos[i], rng)
-            fits = np.asarray(cache.batch(list(pos)))
-            improved = fits > pbest_f
-            pbest[improved] = pos[improved]
-            pbest_f[improved] = fits[improved]
-            g_idx = int(np.argmax(pbest_f))
-            if float(pbest_f[g_idx]) > gbest_f:
-                gbest = pbest[g_idx].copy()
-                gbest_f = float(pbest_f[g_idx])
-            log.append(_record(g, fits, gbest_f, gbest, None, None, cache, t0))
-            if gbest_f > cfg.fitness_stop:
-                terminated_by = "fitness_stop"
-                break
-        return SelectionResult(
-            best_mask=gbest.copy(),
-            best_fitness=gbest_f,
-            log=log,
-            terminated_by=terminated_by,
-            total_evaluations=cache.evaluations,
-        )
-    finally:
-        cache.close()
-
-
-def _run_bde(ds: Dataset, kcfg: KernelConfig, cfg: BaselineConfig, workers: int) -> SelectionResult:
-    rng = np.random.default_rng(cfg.seed)
-    cache = FitnessCache(ds, kcfg, workers=workers)
-    try:
-        t0 = time.perf_counter()
-        pop = _random_population(cfg.np, ds.n_features, rng)
-        fits = np.asarray(cache.batch(list(pop)))
-        log: list[GenerationRecord] = []
-        terminated_by = "generation_limit"
-        for g in range(1, cfg.g_max + 1):
-            trials = np.empty_like(pop)
-            for i in range(cfg.np):
-                mutant = bde_mutate(pop, i, BDE_F, rng)
-                trials[i] = bde_crossover(pop[i], mutant, BDE_CR, rng)
-            trial_fits = np.asarray(cache.batch(list(trials)))
-            keep = trial_fits >= fits
-            pop = np.where(keep[:, None], trials, pop).astype(np.uint8)
-            fits = np.where(keep, trial_fits, fits)
-            best_idx = int(np.argmax(fits))
-            log.append(_record(g, fits, fits[best_idx], pop[best_idx], BDE_F, BDE_CR, cache, t0))
-            if log[-1].best_fitness > cfg.fitness_stop:
-                terminated_by = "fitness_stop"
-                break
-        best_idx = int(np.argmax(fits))
-        return SelectionResult(
-            best_mask=pop[best_idx].copy(),
-            best_fitness=float(fits[best_idx]),
-            log=log,
-            terminated_by=terminated_by,
-            total_evaluations=cache.evaluations,
-        )
-    finally:
-        cache.close()
-
-
-_RUNNERS = {"GA": _run_ga, "BPSO": _run_bpso, "BDE": _run_bde}
+_STEPS = {"GA": (_population_start, _ga_step), "BPSO": (_bpso_start, _bpso_step)}
 
 
 def run_baseline(
@@ -241,10 +153,23 @@ def run_baseline(
     workers: int = 0,
 ) -> SelectionResult:
     """Run the optimizer named by cfg.kind on a standardized dataset."""
-    runner = _RUNNERS.get(cfg.kind)
-    if runner is None:
+    if cfg.kind == "BDE":
+        bde = MAConfig(
+            np=cfg.np,
+            g_max=cfg.g_max,
+            f_min=BDE_F,
+            f_max=BDE_F,
+            cr_min=BDE_CR,
+            cr_max=BDE_CR,
+            init_neighbors=0,
+            elite_count=0,
+            fitness_stop=cfg.fitness_stop,
+            seed=cfg.seed,
+        )
+        return run_ma(ds, kcfg, bde, workers=workers)
+    if cfg.kind not in _STEPS:
         raise ValueError(f"kind must be one of {BASELINE_KINDS}, got {cfg.kind!r}")
-    return runner(ds, kcfg, cfg, workers)
+    return _drive(ds, kcfg, cfg, workers, *_STEPS[cfg.kind])
 
 
 @dataclass(frozen=True)

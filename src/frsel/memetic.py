@@ -19,6 +19,7 @@ import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -349,19 +350,21 @@ def repair_empty(mask: np.ndarray, rng) -> np.ndarray:
     return mask
 
 
-def init_population(n_features: int, cfg: MAConfig, fitness_fn, rng) -> np.ndarray:
-    """Uniform random masks, repaired, then locally improved.
+def init_population(n_features: int, cfg, fitness_fn, rng) -> np.ndarray:
+    """cfg.np uniform random masks, repaired, then locally improved.
 
     Each mask is replaced by the best of itself and cfg.init_neighbors
-    random single-bit-flip neighbors; the original wins ties.
+    random single-bit-flip neighbors; the original wins ties. A cfg without
+    init_neighbors (a BaselineConfig) gets no refinement.
     """
     pop = rng.integers(0, 2, size=(cfg.np, n_features), dtype=np.uint8)
     for i in range(cfg.np):
         repair_empty(pop[i], rng)
+    n_neighbors = getattr(cfg, "init_neighbors", 0)
+    if n_neighbors == 0:
+        return pop
     for i in range(cfg.np):
-        if cfg.init_neighbors == 0:
-            continue
-        flips = rng.integers(0, n_features, size=cfg.init_neighbors)
+        flips = rng.integers(0, n_features, size=n_neighbors)
         candidates = [pop[i]]
         for p in flips:
             nb = pop[i].copy()
@@ -375,6 +378,103 @@ def init_population(n_features: int, cfg: MAConfig, fitness_fn, rng) -> np.ndarr
     return pop
 
 
+class _Step(NamedTuple):
+    """An optimizer's state after one step, as the driver logs it."""
+
+    best_mask: np.ndarray
+    best_fitness: float
+    fits: np.ndarray  # every individual's fitness
+    sigma_sq: float
+    f_g: float | None = None
+    cr_g: float | None = None
+
+
+def _population_step(pop, fits, sigma_sq, f_g=None, cr_g=None) -> _Step:
+    """Report whose best is the population's first fittest member."""
+    best = int(np.argmax(fits))
+    return _Step(pop[best], float(fits[best]), fits, sigma_sq, f_g, cr_g)
+
+
+def _drive(ds: Dataset, kcfg: KernelConfig, cfg, workers: int, start, step) -> SelectionResult:
+    """The generation loop shared by every optimizer.
+
+    `start(cfg, n_features, cache, rng)` and `step(cfg, state, cache, rng)`
+    each return (state, _Step). The driver owns the seeded RNG, the fitness
+    cache, the run log and termination: after cfg.g_max steps, or after the
+    first step whose best beats cfg.fitness_stop.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    cache = FitnessCache(ds, kcfg, workers=workers)
+    try:
+        t0 = time.perf_counter()
+        state, now = start(cfg, ds.n_features, cache, rng)
+        log: list[GenerationRecord] = []
+        terminated_by = "generation_limit"
+        for g in range(1, cfg.g_max + 1):
+            state, now = step(cfg, state, cache, rng)
+            log.append(
+                GenerationRecord(
+                    g=g,
+                    best_fitness=now.best_fitness,
+                    mean_fitness=float(now.fits.mean()),
+                    sigma_sq=now.sigma_sq,
+                    f_g=now.f_g,
+                    cr_g=now.cr_g,
+                    best_mask=now.best_mask.copy(),
+                    evaluations_so_far=cache.evaluations,
+                    elapsed_ms=(time.perf_counter() - t0) * 1000.0,
+                )
+            )
+            if now.best_fitness > cfg.fitness_stop:
+                terminated_by = "fitness_stop"
+                break
+        return SelectionResult(
+            best_mask=now.best_mask.copy(),
+            best_fitness=now.best_fitness,
+            log=log,
+            terminated_by=terminated_by,
+            total_evaluations=cache.evaluations,
+        )
+    finally:
+        cache.close()
+
+
+# The steps call init_population, ts_local_search, bde_mutate and
+# bde_crossover as module globals, which bench/spans.py replaces to trace them.
+def _population_start(cfg, n_features: int, cache, rng):
+    """State (pop, fits) from init_population, and its report."""
+    pop = init_population(n_features, cfg, cache, rng)
+    fits = np.asarray(cache.batch(pop))
+    return (pop, fits), _population_step(pop, fits, group_variance(fits))
+
+
+def _ma_step(cfg: MAConfig, state, cache, rng):
+    """One DE generation, then tabu refinement of the elites.
+
+    sigma_sq is the spread of the population entering the generation, the
+    one that sets f_g and cr_g.
+    """
+    pop, fits = state
+    sigma_sq = group_variance(fits)
+    f_g, cr_g = adapt_params(sigma_sq, cfg)
+    trials = np.empty_like(pop)
+    for i in range(cfg.np):
+        mutant = bde_mutate(pop, i, f_g, rng)
+        trials[i] = bde_crossover(pop[i], mutant, cr_g, rng)
+    trial_fits = np.asarray(cache.batch(trials))
+    keep = trial_fits >= fits
+    pop = np.where(keep[:, None], trials, pop).astype(np.uint8)
+    fits = np.where(keep, trial_fits, fits)
+    if cfg.elite_count > 0 and cfg.ts_iters > 0:
+        for idx in np.argsort(-fits, kind="stable")[: cfg.elite_count]:
+            refined = ts_local_search(pop[idx], cfg, cache, rng)
+            refined_f = cache(refined)
+            if refined_f > fits[idx]:
+                pop[idx] = refined
+                fits[idx] = refined_f
+    return (pop, fits), _population_step(pop, fits, sigma_sq, f_g, cr_g)
+
+
 def run_ma(
     ds: Dataset,
     kcfg: KernelConfig,
@@ -382,58 +482,7 @@ def run_ma(
     workers: int = 0,
 ) -> SelectionResult:
     """Full memetic run on an already standardized dataset."""
-    rng = np.random.default_rng(cfg.seed)
-    cache = FitnessCache(ds, kcfg, workers=workers)
-    try:
-        t0 = time.perf_counter()
-        pop = init_population(ds.n_features, cfg, cache, rng)
-        log: list[GenerationRecord] = []
-        terminated_by = "generation_limit"
-        fits = np.asarray(cache.batch(pop))
-        for g in range(1, cfg.g_max + 1):
-            sigma_sq = group_variance(fits)
-            f_g, cr_g = adapt_params(sigma_sq, cfg)
-            trials = np.empty_like(pop)
-            for i in range(cfg.np):
-                mutant = bde_mutate(pop, i, f_g, rng)
-                trials[i] = bde_crossover(pop[i], mutant, cr_g, rng)
-            trial_fits = np.asarray(cache.batch(trials))
-            keep = trial_fits >= fits
-            pop = np.where(keep[:, None], trials, pop).astype(np.uint8)
-            fits = np.where(keep, trial_fits, fits)
-            if cfg.elite_count > 0 and cfg.ts_iters > 0:
-                for idx in np.argsort(-fits, kind="stable")[: cfg.elite_count]:
-                    refined = ts_local_search(pop[idx], cfg, cache, rng)
-                    refined_f = cache(refined)
-                    if refined_f > fits[idx]:
-                        pop[idx] = refined
-                        fits[idx] = refined_f
-            best_idx = int(np.argmax(fits))
-            record = GenerationRecord(
-                g=g,
-                best_fitness=float(fits[best_idx]),
-                mean_fitness=float(fits.mean()),
-                sigma_sq=sigma_sq,
-                f_g=f_g,
-                cr_g=cr_g,
-                best_mask=pop[best_idx].copy(),
-                evaluations_so_far=cache.evaluations,
-                elapsed_ms=(time.perf_counter() - t0) * 1000.0,
-            )
-            log.append(record)
-            if record.best_fitness > cfg.fitness_stop:
-                terminated_by = "fitness_stop"
-                break
-        best_idx = int(np.argmax(fits))
-        return SelectionResult(
-            best_mask=pop[best_idx].copy(),
-            best_fitness=float(fits[best_idx]),
-            log=log,
-            terminated_by=terminated_by,
-            total_evaluations=cache.evaluations,
-        )
-    finally:
-        cache.close()
+    return _drive(ds, kcfg, cfg, workers, _population_start, _ma_step)
 
 
 def runlog_record_dict(record: GenerationRecord, include_timing: bool = True) -> dict:
