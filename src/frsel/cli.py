@@ -31,7 +31,7 @@ from .criterion import (
     mask_to_hex,
     popcount,
 )
-from .datasets import SynthSpec, load_csv, save_csv, split, synth_clusters, zscore_apply, zscore_fit
+from .datasets import SynthSpec, csv_text, load_csv, split, synth_clusters, zscore_apply, zscore_fit
 from .evaluation import evaluate_subset, report_to_dict
 from .memetic import MAConfig, run_ma, runlog_lines
 from .oracle import exhaustive_best, oracle_to_dict
@@ -212,12 +212,12 @@ def build_config(args, extra_tokens: list[str]) -> dict[str, object]:
 
 
 def atomic_write_text(path: Path, text: str) -> None:
-    """Write a file via a same-directory temp file and rename."""
+    """Write text verbatim via a same-directory temp file and rename."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -386,20 +386,8 @@ def cmd_synth(cfg) -> int:
         noise_std=cfg["synth.noise_std"],
     )
     ds = synth_clusters(spec, cfg["seed"])
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    target = out / "synth.csv"
-    fd, tmp = tempfile.mkstemp(dir=out, prefix="synth.csv.", suffix=".tmp")
-    os.close(fd)
-    try:
-        save_csv(ds, tmp)
-        os.replace(tmp, target)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    target = Path(cfg["out"]) / "synth.csv"
+    atomic_write_text(target, csv_text(ds))
     print(f"wrote {ds.n_samples} rows x {ds.n_features} features to {target}")
     return 0
 

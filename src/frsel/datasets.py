@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,13 +200,20 @@ def load_csv(path) -> Dataset:
     )
 
 
+def csv_text(ds: Dataset) -> str:
+    """A Dataset in the CSV layout load_csv reads."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(list(ds.feature_names) + [LABEL_COLUMN])
+    for row, label in zip(ds.samples, ds.labels):
+        writer.writerow([repr(float(v)) for v in row] + [int(label)])
+    return buf.getvalue()
+
+
 def save_csv(ds: Dataset, path) -> None:
     """Write a Dataset in the same CSV layout load_csv reads."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(ds.feature_names) + [LABEL_COLUMN])
-        for row, label in zip(ds.samples, ds.labels):
-            writer.writerow([repr(float(v)) for v in row] + [int(label)])
+        fh.write(csv_text(ds))
 
 
 @dataclass(frozen=True)

@@ -172,8 +172,8 @@ class FitnessCache:
 
 
 def fitness(mask, ds: Dataset, kcfg: KernelConfig = KernelConfig()) -> float:
-    """Criterion value of a mask; the empty mask gets the -1.0 sentinel."""
-    arr = np.asarray(mask, dtype=np.uint8)
+    """Criterion value of a 0/1 mask; the empty mask gets the -1.0 sentinel."""
+    arr = _checked_masks(mask, ds.n_features, ndim=1)
     if not arr.any():
         return EMPTY_MASK_FITNESS
     return CriterionEngine(ds, kcfg).evaluate(arr).gc

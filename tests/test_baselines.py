@@ -7,12 +7,14 @@ import pytest
 from conftest import make_dataset, standardize
 from frsel import (
     BaselineConfig,
+    CriterionEngine,
     KernelConfig,
     MAConfig,
     SynthSpec,
     compare,
     exhaustive_best,
     run_baseline,
+    run_ma,
     runlog_lines,
     synth_clusters,
 )
@@ -117,6 +119,17 @@ class TestEachKind:
         )
         assert instant.terminated_by == "fitness_stop"
         assert len(instant.log) == 1
+
+    @pytest.mark.parametrize("kind", ("MA",) + BASELINE_KINDS)
+    def test_best_fitness_rescores_bit_for_bit(self, kind, small_ds):
+        if kind == "MA":
+            cfg = MAConfig(np=8, g_max=6, tl=3, ts_iters=5, init_neighbors=2, seed=7)
+            result = run_ma(small_ds, KCFG, cfg)
+        else:
+            result = run_baseline(small_ds, KCFG, BaselineConfig(kind=kind, np=8, g_max=6, seed=7))
+        rescored = CriterionEngine(small_ds, KCFG).evaluate(result.best_mask).gc
+        assert result.best_fitness == rescored
+        assert result.log[-1].best_fitness == rescored
 
     def test_unknown_kind_at_dispatch(self, small_ds):
         cfg = BaselineConfig(kind="GA", np=4)

@@ -479,6 +479,27 @@ class TestFitnessCache:
         cache.close()
 
 
+class TestFitness:
+    @pytest.mark.parametrize("bad", [
+        [0.5, 0, 0, 0, 0, 0],  # used to score as the empty mask
+        [1.7, 0, 0, 0, 0, 0],  # used to score as [1, 0, ...]
+        [2, 0, 0, 0, 0, 0],
+        [1, 0, 0, 0, 0],  # one bit short
+        [1, 0, 0, 0, 0, 0, 0],  # one bit long
+    ])
+    def test_rejects_non_mask_input(self, bad):
+        with pytest.raises(ValueError):
+            fitness(bad, tiny_dataset(), KernelConfig())
+
+    def test_accepts_masks_of_any_numeric_dtype(self):
+        ds = tiny_dataset()
+        expected = fitness(bits("011000"), ds)
+        assert fitness([0, 1, 1, 0, 0, 0], ds) == expected
+        assert fitness(bits("011000").astype(bool), ds) == expected
+        assert fitness([0.0, 1.0, 1.0, 0.0, 0.0, 0.0], ds) == expected
+        assert fitness(bits("000000"), ds) == EMPTY_MASK_FITNESS
+
+
 class TestRunMA:
     CFG = dict(np=8, g_max=10, tl=3, ts_iters=5, init_neighbors=2, seed=3)
 
