@@ -1,11 +1,11 @@
-"""Reference optimizers run by the memetic module's driver.
+"""Reference optimizers run by the memetic module's generation loop.
 
 Three kinds are provided for head-to-head studies: a tournament GA with
 elitism, a sigmoid-transfer binary PSO, and the plain binary DE. Plain BDE
 is run_ma with F = 0.65 and CR = 0.55 fixed, no initial neighbour
 refinement and no tabu walk. GA and BPSO are step functions of the same
-driver as run_ma, so all kinds share its seeding, fitness cache, run log and
-termination contract, and comparison tables mix them freely.
+generation loop as run_ma, so all kinds share its seeding, fitness cache,
+run log and termination contract, and comparison tables mix them freely.
 """
 
 from __future__ import annotations
@@ -107,6 +107,7 @@ def _ga_step(cfg: BaselineConfig, state, cache, rng):
 
 
 def _bpso_start(cfg: BaselineConfig, n_features: int, cache, rng):
+    """A swarm at rest on a random population, each particle its own best."""
     (pos, fits), _ = _population_start(cfg, n_features, cache, rng)
     vel = np.zeros(pos.shape, dtype=np.float64)
     g_idx = int(np.argmax(fits))

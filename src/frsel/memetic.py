@@ -379,7 +379,7 @@ def init_population(n_features: int, cfg, fitness_fn, rng) -> np.ndarray:
 
 
 class _Step(NamedTuple):
-    """An optimizer's state after one step, as the driver logs it."""
+    """An optimizer's state after one step, as _drive logs it."""
 
     best_mask: np.ndarray
     best_fitness: float
@@ -399,7 +399,7 @@ def _drive(ds: Dataset, kcfg: KernelConfig, cfg, workers: int, start, step) -> S
     """The generation loop shared by every optimizer.
 
     `start(cfg, n_features, cache, rng)` and `step(cfg, state, cache, rng)`
-    each return (state, _Step). The driver owns the seeded RNG, the fitness
+    each return (state, _Step). _drive owns the seeded RNG, the fitness
     cache, the run log and termination: after cfg.g_max steps, or after the
     first step whose best beats cfg.fitness_stop.
     """
