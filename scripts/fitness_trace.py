@@ -18,12 +18,13 @@ from frsel import (  # noqa: E402
     SynthSpec,
     load_csv,
     run_ma,
+    runlog_lines,
     split,
     synth_clusters,
-    write_runlog,
     zscore_apply,
     zscore_fit,
 )
+from frsel.cli import atomic_write_text  # noqa: E402
 from frsel.criterion import mask_names, mask_to_hex  # noqa: E402
 
 
@@ -62,7 +63,7 @@ def main(argv=None) -> int:
     print(f"best mask 0x{mask_to_hex(result.best_mask)} "
           f"(fitness {result.best_fitness:.8f}): {', '.join(names)}")
     if args.runlog:
-        write_runlog(result.log, args.runlog)
+        atomic_write_text(Path(args.runlog), "\n".join(runlog_lines(result.log)) + "\n")
         print(f"runlog written to {args.runlog}")
     return 0
 

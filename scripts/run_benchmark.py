@@ -26,10 +26,10 @@ from frsel import (  # noqa: E402
     compare,
     exhaustive_best,
     synth_clusters,
-    write_compare_csv,
     zscore_apply,
     zscore_fit,
 )
+from frsel.baselines import compare_csv_text  # noqa: E402
 from frsel.cli import atomic_write_text, _json_text  # noqa: E402
 from frsel.oracle import oracle_to_dict  # noqa: E402
 
@@ -81,10 +81,9 @@ def main(argv=None) -> int:
     )
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     atomic_write_text(out / "oracle.json",
                       _json_text(oracle_to_dict(oracle, ds.feature_names)))
-    write_compare_csv(rows, out / "compare.csv")
+    atomic_write_text(out / "compare.csv", compare_csv_text(rows))
 
     header = f"{'optimizer':<10} {'mean_s':>8} {'best':>12} {'mean':>12} {'success%':>9}"
     print()

@@ -263,9 +263,3 @@ def compare_csv_text(rows) -> str:
             ]
         )
     return buf.getvalue()
-
-
-def write_compare_csv(rows, path) -> None:
-    """Write a comparison table as CSV."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(compare_csv_text(rows))

@@ -3,8 +3,9 @@
 Subcommands: select, compare, oracle, synth, evaluate. Configuration is one
 flat dotted-key namespace with three layers, later ones winning: built-in
 defaults, a JSON config file (--config), command-line flags including dotted
-overrides such as --ma.np=40. Unknown keys are rejected. All output files
-are written atomically (temp file, then rename).
+overrides such as --ma.np=40. The kernel.*, ma.*, baselines.* and synth.*
+keys are the fields of the config dataclasses. Unknown keys are rejected.
+All output files are written atomically (temp file, then rename).
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
 
 from . import __version__
 from .baselines import (
@@ -34,102 +37,52 @@ from .criterion import (
 from .datasets import SynthSpec, csv_text, load_csv, split, synth_clusters, zscore_apply, zscore_fit
 from .evaluation import evaluate_subset, report_to_dict
 from .memetic import MAConfig, run_ma, runlog_lines
-from .oracle import exhaustive_best, oracle_to_dict
+from .oracle import DEFAULT_MAX_N, exhaustive_best, oracle_to_dict
 
-DEFAULTS: dict[str, object] = {
-    "data": None,
-    "train_fraction": 0.66,
-    "seed": 0,
-    "out": ".",
-    "workers": 0,
-    "kernel.delta": 1.0,
-    "kernel.per_feature_normalization": True,
-    "kernel.n_k": 3,
-    "ma.np": 80,
-    "ma.g_max": 300,
-    "ma.f_min": 0.4,
-    "ma.f_max": 0.9,
-    "ma.cr_min": 0.3,
-    "ma.cr_max": 0.8,
-    "ma.tl": 20,
-    "ma.ts_iters": 200,
-    "ma.fitness_stop": 0.9950,
-    "ma.init_neighbors": 5,
-    "ma.elite_count": 1,
-    "baselines.kinds": "GA,BPSO,BDE",
-    "baselines.np": 80,
-    "baselines.g_max": 300,
-    "baselines.ga_crossover": 0.85,
-    "baselines.ga_mutation": 0.01,
-    "baselines.pso_c1": 2.0,
-    "baselines.pso_c2": 2.0,
-    "baselines.pso_inertia": 1.0,
-    "baselines.pso_vmax": 4.0,
-    "baselines.fitness_stop": 0.9950,
-    "compare.runs": 20,
-    "compare.certify": False,
-    "oracle.max_n": 20,
-    "evaluate.mask": None,
-    "evaluate.k": 5,
-    "synth.n_informative": 3,
-    "synth.n_noise": 7,
-    "synth.samples_per_class": 100,
-    "synth.cluster_separation": 6.0,
-    "synth.noise_std": 1.0,
-}
+# Sections whose keys are the fields of a config dataclass: "<section>.<field>",
+# with the field's default and annotated type. The per-run fields are not keys:
+# the top-level "seed" sets every seed, and "baselines.kinds" picks the kinds.
+_SECTIONS = {"kernel": KernelConfig, "ma": MAConfig, "baselines": BaselineConfig, "synth": SynthSpec}
+_PER_RUN = frozenset({"seed", "kind"})
 
-_SCHEMA: dict[str, str] = {
-    "data": "str",
-    "train_fraction": "float",
-    "seed": "int",
-    "out": "str",
-    "workers": "int",
-    "kernel.delta": "float",
-    "kernel.per_feature_normalization": "bool",
-    "kernel.n_k": "int",
-    "ma.np": "int",
-    "ma.g_max": "int",
-    "ma.f_min": "float",
-    "ma.f_max": "float",
-    "ma.cr_min": "float",
-    "ma.cr_max": "float",
-    "ma.tl": "int",
-    "ma.ts_iters": "int",
-    "ma.fitness_stop": "float",
-    "ma.init_neighbors": "int",
-    "ma.elite_count": "int",
-    "baselines.kinds": "str",
-    "baselines.np": "int",
-    "baselines.g_max": "int",
-    "baselines.ga_crossover": "float",
-    "baselines.ga_mutation": "float",
-    "baselines.pso_c1": "float",
-    "baselines.pso_c2": "float",
-    "baselines.pso_inertia": "float",
-    "baselines.pso_vmax": "float",
-    "baselines.fitness_stop": "float",
-    "compare.runs": "int",
-    "compare.certify": "bool",
-    "oracle.max_n": "int",
-    "evaluate.mask": "str",
-    "evaluate.k": "int",
-    "synth.n_informative": "int",
-    "synth.n_noise": "int",
-    "synth.samples_per_class": "int",
-    "synth.cluster_separation": "float",
-    "synth.noise_std": "float",
+# key -> (default, type); the keys that no config dataclass holds come first.
+_SCHEMA: dict[str, tuple[object, type]] = {
+    "data": (None, str),
+    "train_fraction": (0.66, float),
+    "seed": (0, int),
+    "out": (".", str),
+    "workers": (0, int),
+    "baselines.kinds": ("GA,BPSO,BDE", str),
+    "compare.runs": (20, int),
+    "compare.certify": (False, bool),
+    "oracle.max_n": (DEFAULT_MAX_N, int),
+    "evaluate.mask": (None, str),
+    "evaluate.k": (5, int),
 }
+_SCHEMA.update(
+    (f"{prefix}.{f.name}", (f.default, get_type_hints(cls)[f.name]))
+    for prefix, cls in _SECTIONS.items()
+    for f in fields(cls)
+    if f.name not in _PER_RUN
+)
+
+DEFAULTS: dict[str, object] = {key: default for key, (default, _) in _SCHEMA.items()}
 
 _TRUE_WORDS = {"true", "1", "yes", "on"}
 _FALSE_WORDS = {"false", "0", "no", "off"}
 
 
 def _coerce(key: str, raw) -> object:
-    """Coerce one config value to its schema type, with a clear error."""
+    """Coerce one config value to its schema type, with a clear error.
+
+    null is accepted only for the keys whose default is null.
+    """
+    default, kind = _SCHEMA[key]
     if raw is None:
-        return None
-    kind = _SCHEMA[key]
-    if kind == "bool":
+        if default is None:
+            return None
+        raise ValueError(f"config key {key!r} cannot be null")
+    if kind is bool:
         if isinstance(raw, bool):
             return raw
         if isinstance(raw, str):
@@ -139,7 +92,7 @@ def _coerce(key: str, raw) -> object:
             if word in _FALSE_WORDS:
                 return False
         raise ValueError(f"config key {key!r}: {raw!r} is not a boolean")
-    if kind == "int":
+    if kind is int:
         if isinstance(raw, bool):
             raise ValueError(f"config key {key!r}: {raw!r} is not an integer")
         if isinstance(raw, int):
@@ -148,7 +101,7 @@ def _coerce(key: str, raw) -> object:
             return int(str(raw).strip(), 10)
         except ValueError:
             raise ValueError(f"config key {key!r}: {raw!r} is not an integer") from None
-    if kind == "float":
+    if kind is float:
         if isinstance(raw, bool):
             raise ValueError(f"config key {key!r}: {raw!r} is not a number")
         if isinstance(raw, (int, float)):
@@ -232,45 +185,11 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _kernel_from(cfg) -> KernelConfig:
-    return KernelConfig(
-        delta=cfg["kernel.delta"],
-        per_feature_normalization=cfg["kernel.per_feature_normalization"],
-        n_k=cfg["kernel.n_k"],
-    )
-
-
-def _ma_from(cfg) -> MAConfig:
-    return MAConfig(
-        np=cfg["ma.np"],
-        g_max=cfg["ma.g_max"],
-        f_min=cfg["ma.f_min"],
-        f_max=cfg["ma.f_max"],
-        cr_min=cfg["ma.cr_min"],
-        cr_max=cfg["ma.cr_max"],
-        tl=cfg["ma.tl"],
-        ts_iters=cfg["ma.ts_iters"],
-        fitness_stop=cfg["ma.fitness_stop"],
-        init_neighbors=cfg["ma.init_neighbors"],
-        elite_count=cfg["ma.elite_count"],
-        seed=cfg["seed"],
-    )
-
-
-def _baseline_from(cfg, kind: str = "BDE") -> BaselineConfig:
-    return BaselineConfig(
-        kind=kind,
-        np=cfg["baselines.np"],
-        g_max=cfg["baselines.g_max"],
-        ga_crossover=cfg["baselines.ga_crossover"],
-        ga_mutation=cfg["baselines.ga_mutation"],
-        pso_c1=cfg["baselines.pso_c1"],
-        pso_c2=cfg["baselines.pso_c2"],
-        pso_inertia=cfg["baselines.pso_inertia"],
-        pso_vmax=cfg["baselines.pso_vmax"],
-        fitness_stop=cfg["baselines.fitness_stop"],
-        seed=cfg["seed"],
-    )
+def _section(cfg, prefix: str, **per_run):
+    """The config object of one section, from its keys plus the per-run fields."""
+    cls = _SECTIONS[prefix]
+    values = {f.name: cfg[f"{prefix}.{f.name}"] for f in fields(cls) if f.name not in _PER_RUN}
+    return cls(**values, **per_run)
 
 
 def _load_standardized(cfg):
@@ -310,8 +229,8 @@ def _parse_mask_text(text: str, feature_names) -> "list[int]":
 
 def cmd_select(cfg) -> int:
     train, test = _load_standardized(cfg)
-    kcfg = _kernel_from(cfg)
-    result = run_ma(train, kcfg, _ma_from(cfg), workers=cfg["workers"])
+    kcfg = _section(cfg, "kernel")
+    result = run_ma(train, kcfg, _section(cfg, "ma", seed=cfg["seed"]), workers=cfg["workers"])
     out = Path(cfg["out"])
     selection = {
         "features": mask_names(result.best_mask, train.feature_names),
@@ -339,7 +258,7 @@ def cmd_select(cfg) -> int:
 
 def cmd_compare(cfg) -> int:
     train, _ = _load_standardized(cfg)
-    kcfg = _kernel_from(cfg)
+    kcfg = _section(cfg, "kernel")
     kinds = _parse_kinds(cfg)
     optimizers = ["MA"] + [k for k in kinds if k != "MA"]
     runs = cfg["compare.runs"]
@@ -352,8 +271,8 @@ def cmd_compare(cfg) -> int:
         kcfg,
         optimizers,
         seeds=seeds,
-        ma_config=_ma_from(cfg),
-        baseline_config=_baseline_from(cfg),
+        ma_config=_section(cfg, "ma", seed=cfg["seed"]),
+        baseline_config=_section(cfg, "baselines", seed=cfg["seed"]),
         reference_fitness=reference,
         workers=cfg["workers"],
     )
@@ -365,7 +284,7 @@ def cmd_compare(cfg) -> int:
 
 def cmd_oracle(cfg) -> int:
     train, _ = _load_standardized(cfg)
-    result = exhaustive_best(train, _kernel_from(cfg), max_n=cfg["oracle.max_n"])
+    result = exhaustive_best(train, _section(cfg, "kernel"), max_n=cfg["oracle.max_n"])
     out = Path(cfg["out"])
     atomic_write_text(
         out / "oracle.json", _json_text(oracle_to_dict(result, train.feature_names))
@@ -378,14 +297,7 @@ def cmd_oracle(cfg) -> int:
 
 
 def cmd_synth(cfg) -> int:
-    spec = SynthSpec(
-        n_informative=cfg["synth.n_informative"],
-        n_noise=cfg["synth.n_noise"],
-        samples_per_class=cfg["synth.samples_per_class"],
-        cluster_separation=cfg["synth.cluster_separation"],
-        noise_std=cfg["synth.noise_std"],
-    )
-    ds = synth_clusters(spec, cfg["seed"])
+    ds = synth_clusters(_section(cfg, "synth"), cfg["seed"])
     target = Path(cfg["out"]) / "synth.csv"
     atomic_write_text(target, csv_text(ds))
     print(f"wrote {ds.n_samples} rows x {ds.n_features} features to {target}")

@@ -35,7 +35,8 @@ from .datasets import Dataset
 # is not precomputed and distances are built per evaluation in row chunks.
 _STACK_BUDGET = 8_000_000
 
-# Row-chunk size (in float64 elements of the temporary) for the direct path.
+# Row-chunk size (in float64 elements of the temporary) for distances built
+# per call: the criterion's direct path and the k-NN harness.
 _CHUNK_BUDGET = 2_000_000
 
 
@@ -197,6 +198,16 @@ def approx_memberships(
     return lower_s, lower_theta, upper_t, upper_sigma
 
 
+def _cross_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances between the rows of a and of b, in row chunks of a."""
+    out = np.empty((a.shape[0], b.shape[0]), dtype=np.float64)
+    step = max(1, _CHUNK_BUDGET // max(1, b.shape[0] * max(1, a.shape[1])))
+    for lo in range(0, a.shape[0], step):
+        diff = a[lo:lo + step, None, :] - b[None, :, :]
+        out[lo:lo + step] = (diff * diff).sum(axis=-1)
+    return out
+
+
 class CriterionEngine:
     """Evaluates the criterion for many masks over one fixed dataset.
 
@@ -231,13 +242,7 @@ class CriterionEngine:
         if self._stack is not None:
             return self._stack[sel].sum(axis=0)
         x = self.ds.samples[:, sel]
-        n = x.shape[0]
-        out = np.empty((n, n), dtype=np.float64)
-        step = max(1, _CHUNK_BUDGET // max(1, n * sel.size))
-        for a in range(0, n, step):
-            diff = x[a:a + step, None, :] - x[None, :, :]
-            out[a:a + step] = (diff * diff).sum(axis=-1)
-        return out
+        return _cross_sq_dists(x, x)
 
     def evaluate(self, mask) -> CriterionValue:
         """Score one non-empty mask."""

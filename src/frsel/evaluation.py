@@ -14,10 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criterion import as_mask, mask_to_hex
+from .criterion import _cross_sq_dists, as_mask, mask_to_hex
 from .datasets import Dataset
-
-_CHUNK_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,16 +61,6 @@ class MetricsReport:
     confusion: ConfusionMatrix
     dimension: int
     auc_one_vs_rest: bool = False
-
-
-def _cross_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-chunked squared distances between two row sets."""
-    out = np.empty((a.shape[0], b.shape[0]), dtype=np.float64)
-    step = max(1, _CHUNK_BUDGET // max(1, b.shape[0] * max(1, a.shape[1])))
-    for lo in range(0, a.shape[0], step):
-        diff = a[lo:lo + step, None, :] - b[None, :, :]
-        out[lo:lo + step] = (diff * diff).sum(axis=-1)
-    return out
 
 
 def knn_predict(
@@ -241,9 +229,3 @@ def metrics_csv_text(items) -> str:
             ]
         )
     return buf.getvalue()
-
-
-def write_metrics_csv(items, path) -> None:
-    """Write batch evaluation rows as CSV."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(metrics_csv_text(list(items)))

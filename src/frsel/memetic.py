@@ -505,10 +505,3 @@ def runlog_record_dict(record: GenerationRecord, include_timing: bool = True) ->
 def runlog_lines(log, include_timing: bool = True) -> list[str]:
     """One JSON object per generation, ready for a .jsonl file."""
     return [json.dumps(runlog_record_dict(r, include_timing)) for r in log]
-
-
-def write_runlog(log, path, include_timing: bool = True) -> None:
-    """Write the run log as JSON lines."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in runlog_lines(log, include_timing):
-            fh.write(line + "\n")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from frsel import Dataset, SynthSpec, load_csv, save_csv, synth_clusters
+from frsel import cli
 from frsel.cli import main
 from golden.make_golden import GOLDEN_DIR
 
@@ -137,6 +138,45 @@ class TestConfigHandling:
                    "--kernel.per_feature_normalization=off", *FAST_MA])
         assert rc == 0
         assert (out / "selection.json").exists()
+
+
+    def test_null_only_for_nullable_keys(self, small_csv, tmp_path, capsys):
+        for key in ("seed", "ma.np"):
+            cfg_path = tmp_path / "null.json"
+            cfg_path.write_text(json.dumps({key: None}))
+            rc = main(["select", "--data", small_csv, "--config", str(cfg_path),
+                       "--out", str(tmp_path / "run"), *FAST_MA])
+            assert rc == 1
+            assert f"config key {key!r} cannot be null" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+        cfg_path.write_text(json.dumps({"data": None, "evaluate.mask": None}))
+        rc = main(["evaluate", "--data", small_csv, "--config", str(cfg_path)])
+        assert rc == 1
+        assert "no mask given" in capsys.readouterr().err
+
+
+class TestNamespace:
+    def test_keys(self):
+        assert set(cli.DEFAULTS) == {
+            "data", "train_fraction", "seed", "out", "workers",
+            "kernel.delta", "kernel.per_feature_normalization", "kernel.n_k",
+            "ma.np", "ma.g_max", "ma.f_min", "ma.f_max", "ma.cr_min",
+            "ma.cr_max", "ma.tl", "ma.ts_iters", "ma.fitness_stop",
+            "ma.init_neighbors", "ma.elite_count",
+            "baselines.kinds", "baselines.np", "baselines.g_max",
+            "baselines.ga_crossover", "baselines.ga_mutation",
+            "baselines.pso_c1", "baselines.pso_c2", "baselines.pso_inertia",
+            "baselines.pso_vmax", "baselines.fitness_stop",
+            "compare.runs", "compare.certify", "oracle.max_n",
+            "evaluate.mask", "evaluate.k",
+            "synth.n_informative", "synth.n_noise", "synth.samples_per_class",
+            "synth.cluster_separation", "synth.noise_std",
+        }
+
+    @pytest.mark.parametrize("flag", ["--ma.seed=1", "--baselines.kind=GA"])
+    def test_per_run_fields_are_not_keys(self, small_csv, flag, capsys):
+        assert main(["select", "--data", small_csv, flag]) == 1
+        assert "unknown config key" in capsys.readouterr().err
 
 
 class TestSynth:

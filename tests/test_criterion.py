@@ -21,7 +21,8 @@ from frsel import (
     mask_to_hex,
     popcount,
 )
-from frsel.criterion import as_mask, int_to_mask, mask_to_int
+from frsel import criterion
+from frsel.criterion import _cross_sq_dists, as_mask, int_to_mask, mask_to_int
 from reference import random_grid_case, reference_criterion
 
 N1 = KernelConfig(delta=1.0, per_feature_normalization=True, n_k=1)
@@ -254,6 +255,17 @@ class TestInvariances:
             a = stacked.evaluate(mask)
             b = direct.evaluate(mask)
             assert abs(a.gc - b.gc) <= 1e-12
+
+    def test_chunked_distances_equal_one_chunk(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(23, 4))
+        b = rng.normal(size=(17, 4))
+        whole_aa = _cross_sq_dists(a, a)
+        whole_ab = _cross_sq_dists(a, b)
+        # Splits a into chunks of 3 rows against itself and 4 rows against b.
+        monkeypatch.setattr(criterion, "_CHUNK_BUDGET", 3 * 23 * 4)
+        assert np.array_equal(_cross_sq_dists(a, a), whole_aa)
+        assert np.array_equal(_cross_sq_dists(a, b), whole_ab)
 
     def test_monotone_in_separation(self):
         offsets = np.linspace(-0.1, 0.1, 4)
