@@ -1,34 +1,16 @@
-"""Feature selection by kernelized fuzzy-rough separability and memetic search."""
+"""Feature selection by kernelized fuzzy-rough separability and memetic search.
+
+The package namespace holds the names a study needs end to end. Everything
+else is imported from its module: frsel.criterion, frsel.memetic,
+frsel.baselines, frsel.oracle, frsel.evaluation, frsel.datasets, frsel.cli.
+"""
 
 __version__ = "0.1.0"
 
-from .baselines import (
-    BaselineConfig,
-    ComparisonRow,
-    compare,
-    run_baseline,
-)
-from .criterion import (
-    CriterionEngine,
-    CriterionValue,
-    KernelConfig,
-    NeighborSets,
-    approx_memberships,
-    find_neighbors,
-    g_gamma,
-    g_omega,
-    gaussian_kernel,
-    gc,
-    hex_to_mask,
-    mask_from_names,
-    mask_names,
-    mask_to_hex,
-    popcount,
-)
+from .baselines import BaselineConfig, compare, run_baseline
+from .criterion import KernelConfig, gc
 from .datasets import (
     Dataset,
-    FeatureCatalog,
-    StandardizationParams,
     SynthSpec,
     catalog,
     load_csv,
@@ -38,93 +20,33 @@ from .datasets import (
     zscore_apply,
     zscore_fit,
 )
-from .evaluation import (
-    ConfusionMatrix,
-    MetricsReport,
-    auc,
-    eta,
-    evaluate_subset,
-    kappa,
-    knn_predict,
-)
-from .memetic import (
-    EMPTY_MASK_FITNESS,
-    FitnessCache,
-    GenerationRecord,
-    MAConfig,
-    SelectionResult,
-    adapt_params,
-    bde_crossover,
-    bde_mutate,
-    bde_select,
-    crossover_bits,
-    fitness,
-    group_variance,
-    init_population,
-    mutant_from_donors,
-    repair_empty,
-    run_ma,
-    runlog_lines,
-    ts_local_search,
-)
-from .oracle import OracleResult, exhaustive_best
+from .evaluation import auc, eta, evaluate_subset, kappa
+from .memetic import MAConfig, adapt_params, group_variance, run_ma, runlog_lines
+from .oracle import exhaustive_best
 
 __all__ = [
     "BaselineConfig",
-    "ComparisonRow",
-    "ConfusionMatrix",
-    "CriterionEngine",
-    "CriterionValue",
     "Dataset",
-    "EMPTY_MASK_FITNESS",
-    "FeatureCatalog",
-    "FitnessCache",
-    "GenerationRecord",
     "KernelConfig",
     "MAConfig",
-    "MetricsReport",
-    "NeighborSets",
-    "OracleResult",
-    "SelectionResult",
-    "StandardizationParams",
     "SynthSpec",
     "adapt_params",
-    "approx_memberships",
     "auc",
-    "bde_crossover",
-    "bde_mutate",
-    "bde_select",
     "catalog",
     "compare",
-    "crossover_bits",
     "eta",
     "evaluate_subset",
     "exhaustive_best",
-    "find_neighbors",
-    "fitness",
-    "g_gamma",
-    "g_omega",
-    "gaussian_kernel",
     "gc",
     "group_variance",
-    "hex_to_mask",
-    "init_population",
     "kappa",
-    "knn_predict",
     "load_csv",
-    "mask_from_names",
-    "mask_names",
-    "mask_to_hex",
-    "mutant_from_donors",
-    "popcount",
-    "repair_empty",
     "run_baseline",
     "run_ma",
     "runlog_lines",
     "save_csv",
     "split",
     "synth_clusters",
-    "ts_local_search",
     "zscore_apply",
     "zscore_fit",
 ]

@@ -159,8 +159,9 @@ def build_config(args, extra_tokens: list[str]) -> dict[str, object]:
             cfg[key] = _coerce(key, value)
     for key, value in _parse_overrides(extra_tokens).items():
         cfg[key] = _coerce(key, value)
-    if cfg["workers"] < 0:
-        raise ValueError("workers must be non-negative")
+    for key in ("seed", "workers"):
+        if cfg[key] < 0:
+            raise ValueError(f"{key} must be non-negative")
     return cfg
 
 

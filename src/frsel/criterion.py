@@ -83,21 +83,32 @@ class NeighborSets:
     cross: tuple[dict[int, tuple[int, ...]], ...]
 
 
-def as_mask(bits, n_features: int | None = None) -> np.ndarray:
-    """Coerce a bit sequence to a validated uint8 mask array."""
+def as_mask(bits, n_features: int | None = None, ndim: int = 1) -> np.ndarray:
+    """Coerce bits to a validated, C-contiguous uint8 mask array.
+
+    The input must have `ndim` dimensions (2 for a stack of masks), a bool
+    or numeric dtype and only 0 and 1 entries; with n_features given, its
+    last axis must be that wide. A uint8 input is checked with one max().
+    """
     mask = np.asarray(bits)
-    if mask.ndim != 1:
-        raise ValueError("mask must be one-dimensional")
-    if mask.dtype != np.uint8:
-        arr = np.asarray(bits, dtype=np.float64)
-        if not np.isin(arr, (0.0, 1.0)).all():
+    if mask.ndim != ndim:
+        raise ValueError(f"mask must be {ndim}-dimensional, got shape {mask.shape}")
+    if n_features is not None and mask.shape[-1] != n_features:
+        raise ValueError(f"mask has {mask.shape[-1]} bits, expected {n_features}")
+    if mask.dtype == np.uint8:
+        if mask.size and mask.max() > 1:
             raise ValueError("mask entries must be 0 or 1")
-        mask = arr.astype(np.uint8)
-    elif not np.isin(mask, (0, 1)).all():
+    elif mask.dtype.kind not in "biuf" or not ((mask == 0) | (mask == 1)).all():
         raise ValueError("mask entries must be 0 or 1")
-    if n_features is not None and mask.size != n_features:
-        raise ValueError(f"mask has {mask.size} bits, expected {n_features}")
-    return mask
+    return np.ascontiguousarray(mask, dtype=np.uint8)
+
+
+def _selected(mask, n_features: int | None) -> np.ndarray:
+    """Column indices of a validated, non-empty mask."""
+    sel = as_mask(mask, n_features).nonzero()[0]
+    if sel.size == 0:
+        raise ValueError("empty mask")
+    return sel
 
 
 def popcount(mask) -> int:
@@ -160,9 +171,7 @@ def _effective_delta(cfg: KernelConfig, n_selected: int) -> float:
 
 def gaussian_kernel(x, y, mask, cfg: KernelConfig = KernelConfig()) -> float:
     """Similarity exp(-d^2 / delta_eff) over the selected features."""
-    sel = np.flatnonzero(as_mask(mask))
-    if sel.size == 0:
-        raise ValueError("empty mask")
+    sel = _selected(mask, None)
     diff = np.asarray(x, dtype=np.float64)[sel] - np.asarray(y, dtype=np.float64)[sel]
     d2 = float((diff * diff).sum())
     return float(np.exp(-d2 / _effective_delta(cfg, sel.size)))
@@ -178,9 +187,7 @@ def approx_memberships(
     and of 1 - sqrt(1 - k^2) over samples inside it. The sample itself
     counts as inside when it belongs to the class, never as outside.
     """
-    sel = np.flatnonzero(as_mask(mask, ds.n_features))
-    if sel.size == 0:
-        raise ValueError("empty mask")
+    sel = _selected(mask, ds.n_features)
     inside = ds.labels == class_id
     if not inside.any():
         raise ValueError(f"class {class_id} is empty")
@@ -246,9 +253,7 @@ class CriterionEngine:
 
     def evaluate(self, mask) -> CriterionValue:
         """Score one non-empty mask."""
-        sel = np.flatnonzero(as_mask(mask, self.ds.n_features))
-        if sel.size == 0:
-            raise ValueError("empty mask")
+        sel = _selected(mask, self.ds.n_features)
         d2 = self._sq_dists(sel)
         delta_eff = _effective_delta(self.cfg, sel.size)
         gamma_total = 0.0
@@ -273,9 +278,7 @@ class CriterionEngine:
 
     def neighbors(self, mask) -> NeighborSets:
         """Cross-class nearest-neighbor index lists for every sample."""
-        sel = np.flatnonzero(as_mask(mask, self.ds.n_features))
-        if sel.size == 0:
-            raise ValueError("empty mask")
+        sel = _selected(mask, self.ds.n_features)
         d2 = self._sq_dists(sel)
         per_sample: list[dict[int, tuple[int, ...]]] = [
             {} for _ in range(self.ds.n_samples)

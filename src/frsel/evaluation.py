@@ -8,13 +8,11 @@ does not chase benchmark accuracy.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
-from .criterion import _cross_sq_dists, as_mask, mask_to_hex
+from .criterion import _cross_sq_dists, _selected, popcount
 from .datasets import Dataset
 
 
@@ -76,9 +74,7 @@ def knn_predict(
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    sel = np.flatnonzero(as_mask(mask, train.n_features))
-    if sel.size == 0:
-        raise ValueError("empty mask")
+    sel = _selected(mask, train.n_features)
     if train.n_samples == 0:
         raise ValueError("empty training set")
     d2 = _cross_sq_dists(test.samples[:, sel], train.samples[:, sel])
@@ -191,7 +187,7 @@ def evaluate_subset(train: Dataset, test: Dataset, mask, k: int = 5) -> MetricsR
         auc=r,
         eta=eta(a, kap, r),
         confusion=cm,
-        dimension=int(np.count_nonzero(as_mask(mask))),
+        dimension=popcount(mask),
         auc_one_vs_rest=one_vs_rest,
     )
 
@@ -211,21 +207,3 @@ def report_to_dict(report: MetricsReport) -> dict:
         },
     }
 
-
-def metrics_csv_text(items) -> str:
-    """CSV for (mask, report) pairs: mask_hex, dimension, a, kappa, auc, eta."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["mask_hex", "dimension", "a", "kappa", "auc", "eta"])
-    for mask, report in items:
-        writer.writerow(
-            [
-                mask_to_hex(mask),
-                report.dimension,
-                repr(report.a),
-                repr(report.kappa),
-                repr(report.auc),
-                repr(report.eta),
-            ]
-        )
-    return buf.getvalue()

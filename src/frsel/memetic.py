@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .criterion import CriterionEngine, KernelConfig, mask_to_hex
+from .criterion import CriterionEngine, KernelConfig, as_mask, mask_to_hex
 from .datasets import Dataset
 
 # Fitness assigned to the all-zeros mask: strictly below the criterion's
@@ -92,23 +92,6 @@ class SelectionResult:
     total_evaluations: int
 
 
-def _checked_masks(masks, n_features: int, ndim: int) -> np.ndarray:
-    """Masks as a C-contiguous uint8 array of `ndim` dimensions.
-
-    Rows must be n_features wide and hold only 0 and 1, as in
-    criterion.as_mask; a uint8 input is checked with a single max().
-    """
-    arr = np.asarray(masks)
-    if arr.ndim != ndim or arr.shape[-1] != n_features:
-        raise ValueError(f"expected masks of {n_features} bits, got shape {arr.shape}")
-    if arr.dtype == np.uint8:
-        if arr.size and arr.max() > 1:
-            raise ValueError("mask entries must be 0 or 1")
-    elif arr.dtype.kind not in "biuf" or not ((arr == 0) | (arr == 1)).all():
-        raise ValueError("mask entries must be 0 or 1")
-    return np.ascontiguousarray(arr, dtype=np.uint8)
-
-
 class FitnessCache:
     """Memoized subset fitness over one dataset.
 
@@ -142,21 +125,13 @@ class FitnessCache:
         return self._engine.evaluate(mask).gc
 
     def __call__(self, mask) -> float:
-        arr = _checked_masks(mask, self._n_features, ndim=1)
-        key = arr.tobytes()
-        hit = self._table.get(key)
-        if hit is not None:
-            return hit
-        value = self._compute(arr)
-        self._table[key] = value
-        self.evaluations += 1
-        return value
+        return self.batch(as_mask(mask, self._n_features)[None])[0]
 
     def batch(self, masks) -> list[float]:
         """Fitness of each mask; `masks` is a sequence of masks or an (M, N) array."""
         if len(masks) == 0:
             return []
-        arr = _checked_masks(masks, self._n_features, ndim=2)
+        arr = as_mask(masks, self._n_features, ndim=2)
         keys = arr.view(f"V{self._n_features}").ravel().tolist()
         table = self._table
         todo = [key for key in dict.fromkeys(keys) if key not in table]
@@ -173,10 +148,7 @@ class FitnessCache:
 
 def fitness(mask, ds: Dataset, kcfg: KernelConfig = KernelConfig()) -> float:
     """Criterion value of a 0/1 mask; the empty mask gets the -1.0 sentinel."""
-    arr = _checked_masks(mask, ds.n_features, ndim=1)
-    if not arr.any():
-        return EMPTY_MASK_FITNESS
-    return CriterionEngine(ds, kcfg).evaluate(arr).gc
+    return FitnessCache(ds, kcfg)(mask)
 
 
 def group_variance(fitnesses) -> float:
@@ -365,16 +337,9 @@ def init_population(n_features: int, cfg, fitness_fn, rng) -> np.ndarray:
         return pop
     for i in range(cfg.np):
         flips = rng.integers(0, n_features, size=n_neighbors)
-        candidates = [pop[i]]
-        for p in flips:
-            nb = pop[i].copy()
-            nb[int(p)] ^= 1
-            candidates.append(nb)
-        if hasattr(fitness_fn, "batch"):
-            fits = fitness_fn.batch(candidates)
-        else:
-            fits = [fitness_fn(m) for m in candidates]
-        pop[i] = candidates[int(np.argmax(fits))]
+        flipped = _toggled(pop[i], flips, np.full(n_neighbors, n_features))
+        candidates = np.vstack([pop[i], flipped])
+        pop[i] = candidates[int(np.argmax(_score(fitness_fn, candidates)))]
     return pop
 
 

@@ -7,7 +7,6 @@ import pytest
 from conftest import make_dataset, standardize
 from frsel import (
     BaselineConfig,
-    CriterionEngine,
     KernelConfig,
     MAConfig,
     SynthSpec,
@@ -19,7 +18,7 @@ from frsel import (
     synth_clusters,
 )
 from frsel.baselines import BASELINE_KINDS, compare_csv_text
-from frsel.criterion import popcount
+from frsel.criterion import CriterionEngine, popcount
 
 KCFG = KernelConfig()
 

@@ -132,6 +132,17 @@ class TestConfigHandling:
         assert main(["select", "--data", small_csv, "--workers=-2"]) == 1
         assert "workers" in capsys.readouterr().err
 
+    def test_negative_seed(self, small_csv, tmp_path, capsys):
+        assert main(["synth", "--seed=-1", "--out", str(tmp_path / "synth")]) == 1
+        assert "seed must be non-negative" in capsys.readouterr().err
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"seed": -3}))
+        rc = main(["select", "--data", small_csv, "--config", str(cfg_path),
+                   "--out", str(tmp_path / "run")])
+        assert rc == 1
+        assert "seed must be non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "synth").exists() and not (tmp_path / "run").exists()
+
     def test_bool_words(self, small_csv, tmp_path):
         out = tmp_path / "nonorm"
         rc = main(["select", "--data", small_csv, "--out", str(out),

@@ -6,23 +6,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dataset
-from frsel import (
+from frsel import KernelConfig, criterion, gc
+from frsel.criterion import (
     CriterionEngine,
-    KernelConfig,
+    _cross_sq_dists,
     approx_memberships,
+    as_mask,
     find_neighbors,
     g_gamma,
     g_omega,
     gaussian_kernel,
-    gc,
     hex_to_mask,
+    int_to_mask,
     mask_from_names,
     mask_names,
     mask_to_hex,
+    mask_to_int,
     popcount,
 )
-from frsel import criterion
-from frsel.criterion import _cross_sq_dists, as_mask, int_to_mask, mask_to_int
+from frsel.memetic import FitnessCache
 from reference import random_grid_case, reference_criterion
 
 N1 = KernelConfig(delta=1.0, per_feature_normalization=True, n_k=1)
@@ -38,6 +40,25 @@ def unit_gap_pair():
 
 def separated_quad():
     return make_dataset([[0.0], [0.1], [5.0], [5.1]], [1, 1, -1, -1])
+
+
+# Inputs that are not a 0/1 mask of 3 bits; every mask entry point rejects them.
+BAD_MASKS = [
+    [0, 2, 1],
+    [1, 0, -1],
+    [0.5, 1, 0],
+    [1.7, 0, 0],
+    [1, 0, float("nan")],
+    np.array([1, 0, 2], dtype=np.uint8),
+    np.array([1, 0, 256], dtype=np.int64),
+    ["1", "0", "1"],
+    [1 + 0j, 0, 1],
+    np.array([1, 0, 1], dtype=object),
+    [1, 0],
+    [1, 0, 1, 1],
+    [[1, 0, 1]],
+    1,
+]
 
 
 class TestMaskHelpers:
@@ -74,6 +95,37 @@ class TestMaskHelpers:
             as_mask([0, 2, 1])
         with pytest.raises(ValueError, match="bits"):
             as_mask([0, 1], n_features=3)
+        with pytest.raises(ValueError, match="0 or 1"):
+            as_mask(["1", "0", "1"])
+        with pytest.raises(ValueError, match="1-dimensional"):
+            as_mask([[1, 0, 1]])
+        with pytest.raises(ValueError, match="bits"):
+            as_mask([[1, 0], [0, 1]], n_features=3, ndim=2)
+        with pytest.raises(ValueError, match="bits"):
+            as_mask(np.ones((2, 4), dtype=np.uint8), n_features=3, ndim=2)
+        for bad in BAD_MASKS:
+            with pytest.raises(ValueError):
+                as_mask(bad, n_features=3)
+
+    def test_as_mask_output(self):
+        stack = np.array([[1, 0, 1, 1], [0, 1, 0, 0]], dtype=np.int64)[:, ::2]
+        out = as_mask(stack, n_features=2, ndim=2)
+        assert out.dtype == np.uint8 and out.flags.c_contiguous
+        assert out.tolist() == [[1, 1], [0, 0]]
+        for good in ([True, False, True], [1.0, 0.0, 1.0], np.array([1, 0, 1], np.uint8)):
+            assert as_mask(good, n_features=3).tolist() == [1, 0, 1]
+
+    @pytest.mark.parametrize("bad", BAD_MASKS)
+    def test_engine_and_cache_reject_bad_masks(self, bad):
+        ds = make_dataset([[0.0, 1.0, 2.0], [1.0, 0.0, 2.0], [2.0, 2.0, 0.0]], [0, 1, 1])
+        with pytest.raises(ValueError):
+            CriterionEngine(ds, N1).evaluate(bad)
+        cache = FitnessCache(ds, N1)
+        with pytest.raises(ValueError):
+            cache(bad)
+        with pytest.raises(ValueError):
+            cache.batch([bad])
+        assert cache.evaluations == 0
 
 
 class TestGaussianKernel:

@@ -1,5 +1,3 @@
-import csv
-import io
 import json
 
 import numpy as np
@@ -7,21 +5,20 @@ import pytest
 
 from conftest import make_dataset, standardize
 from frsel import (
-    ConfusionMatrix,
     SynthSpec,
     auc,
     eta,
     evaluate_subset,
     kappa,
-    knn_predict,
     split,
     synth_clusters,
 )
 from frsel.datasets import informative_indices
 from frsel.evaluation import (
+    ConfusionMatrix,
     accuracy,
     confusion,
-    metrics_csv_text,
+    knn_predict,
     report_to_dict,
 )
 
@@ -259,15 +256,3 @@ class TestSerialization:
         assert decoded["confusion"]["class_ids"] == [-1, 1]
         total = sum(sum(row) for row in decoded["confusion"]["counts"])
         assert total == test.n_samples
-
-    def test_csv_rows(self, synth_split):
-        train, test = synth_split
-        masks = [np.array([1, 0, 0, 0, 0, 0], dtype=np.uint8),
-                 np.array([1, 1, 1, 1, 1, 1], dtype=np.uint8)]
-        items = [(m, evaluate_subset(train, test, m)) for m in masks]
-        text = metrics_csv_text(items)
-        parsed = list(csv.reader(io.StringIO(text)))
-        assert parsed[0] == ["mask_hex", "dimension", "a", "kappa", "auc", "eta"]
-        assert len(parsed) == 3
-        assert parsed[2][1] == "6"
-        assert float(parsed[2][5]) == items[1][1].eta

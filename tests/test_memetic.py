@@ -8,28 +8,30 @@ from hypothesis import strategies as st
 import frsel.memetic as memetic
 from conftest import make_dataset, standardize
 from frsel import (
-    EMPTY_MASK_FITNESS,
-    FitnessCache,
     KernelConfig,
     MAConfig,
     SynthSpec,
     adapt_params,
+    group_variance,
+    run_ma,
+    runlog_lines,
+    synth_clusters,
+)
+from frsel.criterion import hex_to_mask, popcount
+from frsel.memetic import (
+    EMPTY_MASK_FITNESS,
+    FitnessCache,
     bde_crossover,
     bde_mutate,
     bde_select,
     crossover_bits,
     fitness,
-    group_variance,
     init_population,
     mutant_from_donors,
     repair_empty,
-    run_ma,
-    runlog_lines,
-    synth_clusters,
+    runlog_record_dict,
     ts_local_search,
 )
-from frsel.criterion import hex_to_mask, popcount
-from frsel.memetic import runlog_record_dict
 from reference import reference_ts_local_search
 
 

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset
-from frsel import KernelConfig, exhaustive_best, fitness
+from frsel import KernelConfig, MAConfig, exhaustive_best, run_ma
 from frsel.datasets import informative_indices
+from frsel.memetic import fitness
 from frsel.oracle import oracle_to_dict
 
 KCFG = KernelConfig()
@@ -51,6 +52,31 @@ class TestExhaustiveBest:
         assert np.array_equal(benchmark_oracle.best_mask, expect)
         assert benchmark_oracle.evaluated == 2 ** benchmark_ds.n_features - 1
         assert benchmark_oracle.runner_up_fitness < benchmark_oracle.best_fitness
+
+
+def random_small_problem(seed: int):
+    """Seeded dataset of 1-8 features, 2 or 3 classes, on a 0.01 value grid."""
+    rng = np.random.default_rng(seed)
+    n_features = int(rng.integers(1, 9))
+    n_classes = int(rng.integers(2, 4))
+    n_samples = int(rng.integers(2 * n_classes, 16))
+    labels = rng.permutation(np.arange(n_samples) % n_classes)
+    samples = rng.integers(-200, 201, size=(n_samples, n_features)) / 100.0
+    return make_dataset(samples, labels), KernelConfig(n_k=int(rng.integers(1, 4)))
+
+
+class TestMAAgainstOracle:
+    def test_ma_reaches_certified_optimum(self):
+        # Fitness, not masks: the oracle breaks ties toward fewer bits.
+        misses = []
+        for seed in range(60):
+            ds, kcfg = random_small_problem(seed)
+            cfg = MAConfig(np=8, g_max=8, tl=3, ts_iters=20, init_neighbors=2, seed=seed)
+            found = run_ma(ds, kcfg, cfg).best_fitness
+            certified = exhaustive_best(ds, kcfg).best_fitness
+            if found != certified:
+                misses.append((seed, ds.n_features, found, certified))
+        assert misses == []
 
 
 class TestOracleDict:
