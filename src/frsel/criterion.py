@@ -31,12 +31,12 @@ import numpy as np
 
 from .datasets import Dataset
 
-# Above this many float64 elements, the per-feature squared-difference stack
-# is not precomputed and distances are built per evaluation in row chunks.
-_STACK_BUDGET = 8_000_000
+# Above this many float64 elements, the class-pair distance store is not
+# precomputed and each evaluation builds its cross-class distances itself.
+_STORE_BUDGET = 8_000_000
 
-# Row-chunk size (in float64 elements of the temporary) for distances built
-# per call: the criterion's direct path and the k-NN harness.
+# Row-chunk size (in float64 elements of the temporary) for the k-NN
+# harness's test-to-train distances.
 _CHUNK_BUDGET = 2_000_000
 
 
@@ -69,18 +69,6 @@ class CriterionValue:
     g_gamma: float
     g_omega: float
     gc: float
-
-
-@dataclass(frozen=True)
-class NeighborSets:
-    """Per sample: class id -> indices of its nearest samples of that class.
-
-    Lists cover every class other than the sample's own; within a list,
-    distances are non-decreasing and distance ties are broken by ascending
-    sample index. A list is shorter than n_k when its class is smaller.
-    """
-
-    cross: tuple[dict[int, tuple[int, ...]], ...]
 
 
 def as_mask(bits, n_features: int | None = None, ndim: int = 1) -> np.ndarray:
@@ -170,9 +158,16 @@ def _effective_delta(cfg: KernelConfig, n_selected: int) -> float:
 
 
 def gaussian_kernel(x, y, mask, cfg: KernelConfig = KernelConfig()) -> float:
-    """Similarity exp(-d^2 / delta_eff) over the selected features."""
-    sel = _selected(mask, None)
-    diff = np.asarray(x, dtype=np.float64)[sel] - np.asarray(y, dtype=np.float64)[sel]
+    """Similarity exp(-d^2 / delta_eff) over the selected features.
+
+    x, y and the mask must be 1-D and of one width.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.ndim != 1 or x.shape != y.shape:
+        raise ValueError(f"x and y must be 1-D of one width, got shapes {x.shape} and {y.shape}")
+    sel = _selected(mask, x.size)
+    diff = x[sel] - y[sel]
     d2 = float((diff * diff).sum())
     return float(np.exp(-d2 / _effective_delta(cfg, sel.size)))
 
@@ -215,41 +210,69 @@ def _cross_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _smallest(block: np.ndarray, c: int) -> np.ndarray:
+    """The c smallest entries of each row of block, in ascending order."""
+    if c < block.shape[1]:
+        block = np.partition(block, c - 1, axis=1)[:, :c]
+    return np.sort(block, axis=1)
+
+
 class CriterionEngine:
     """Evaluates the criterion for many masks over one fixed dataset.
 
-    Construction caches per-feature squared differences when they fit the
-    memory budget, so each mask evaluation reduces to a masked sum plus one
-    neighbor scan. All methods are pure with respect to the engine state
-    and safe to call from several threads at once.
+    Only cross-class distances enter the score. They lie flat, one row-major
+    (|a|, |b|) block per class pair a < b, read transposed for the reverse
+    direction. Construction stores each feature's squared differences when
+    N * sum(|a| * |b|) float64 elements fit the budget; otherwise every
+    evaluation rebuilds the selected ones. Both add them in feature order,
+    so both give the same bits. All methods are pure with respect to the
+    engine state and safe to call from several threads at once.
     """
 
     def __init__(self, ds: Dataset, cfg: KernelConfig = KernelConfig()):
         self.ds = ds
         self.cfg = cfg
         self.class_ids = ds.class_ids
-        self._members = {
-            int(d): np.flatnonzero(ds.labels == d) for d in self.class_ids
-        }
-        self._outsiders = {
-            int(d): np.flatnonzero(ds.labels != d) for d in self.class_ids
-        }
-        n, nf = ds.samples.shape
-        self._stack: np.ndarray | None = None
-        if nf * n * n <= _STACK_BUDGET:
-            stack = np.empty((nf, n, n), dtype=np.float64)
-            for j in range(nf):
-                col = ds.samples[:, j]
-                d = col[:, None] - col[None, :]
-                stack[j] = d * d
-            self._stack = stack
+        self._members = [np.flatnonzero(ds.labels == d) for d in self.class_ids]
+        sizes = [m.size for m in self._members]
+        self._pairs: list[tuple[int, int, slice]] = []
+        self._width = 0
+        for a in range(len(sizes)):
+            for b in range(a + 1, len(sizes)):
+                self._pairs.append((a, b, slice(self._width, self._width + sizes[a] * sizes[b])))
+                self._width += sizes[a] * sizes[b]
+        # Per class d, for each pair (a, b) that holds it: the rows of d's
+        # outsiders, in sample order, that the other class fills.
+        self._views = []
+        for d, members in enumerate(self._members):
+            outsiders = np.flatnonzero(ds.labels != self.class_ids[d])
+            parts = []
+            for a, b, flat in self._pairs:
+                if d in (a, b):
+                    rows = np.searchsorted(outsiders, self._members[b if d == a else a])
+                    parts.append((rows, flat, (sizes[a], sizes[b]), d == a))
+            self._views.append((members.size, outsiders.size, parts))
+        self._store: np.ndarray | None = None
+        if ds.n_features * self._width <= _STORE_BUDGET:
+            self._store = np.empty((ds.n_features, self._width), dtype=np.float64)
+            for j in range(ds.n_features):
+                self._store[j] = self._feature_sq_diffs(j)
+
+    def _feature_sq_diffs(self, j: int) -> np.ndarray:
+        """Flat cross-class squared differences on column j."""
+        col = self.ds.samples[:, j]
+        out = np.empty(self._width, dtype=np.float64)
+        for a, b, flat in self._pairs:
+            diff = col[self._members[a], None] - col[None, self._members[b]]
+            out[flat] = (diff * diff).ravel()
+        return out
 
     def _sq_dists(self, sel: np.ndarray) -> np.ndarray:
-        """Pairwise squared distances restricted to the selected columns."""
-        if self._stack is not None:
-            return self._stack[sel].sum(axis=0)
-        x = self.ds.samples[:, sel]
-        return _cross_sq_dists(x, x)
+        """Flat cross-class squared distances over the selected columns."""
+        d2 = np.zeros(self._width, dtype=np.float64)
+        for j in sel:
+            d2 += self._feature_sq_diffs(j) if self._store is None else self._store[j]
+        return d2
 
     def evaluate(self, mask) -> CriterionValue:
         """Score one non-empty mask."""
@@ -258,13 +281,13 @@ class CriterionEngine:
         delta_eff = _effective_delta(self.cfg, sel.size)
         gamma_total = 0.0
         omega_total = 0.0
-        for d in self.class_ids:
-            members = self._members[int(d)]
-            outsiders = self._outsiders[int(d)]
-            c = min(self.cfg.n_k, members.size)
-            block = d2[np.ix_(outsiders, members)]
-            order = np.argsort(block, axis=1, kind="stable")[:, :c]
-            near = np.take_along_axis(block, order, axis=1)
+        for size, n_out, parts in self._views:
+            c = min(self.cfg.n_k, size)
+            # The pairwise .sum() below depends on row order: keep sample order.
+            near = np.empty((n_out, c), dtype=np.float64)
+            for rows, flat, shape, transposed in parts:
+                block = d2[flat].reshape(shape)
+                near[rows] = _smallest(block.T if transposed else block, c)
             k = np.exp(-near / delta_eff)
             low = np.sqrt(np.maximum(0.0, 1.0 - k * k))
             gamma_total += float(low.mean(axis=1).sum())
@@ -275,29 +298,6 @@ class CriterionEngine:
         return CriterionValue(
             g_gamma=g_gamma, g_omega=g_omega, gc=(g_gamma + g_omega) / 2.0
         )
-
-    def neighbors(self, mask) -> NeighborSets:
-        """Cross-class nearest-neighbor index lists for every sample."""
-        sel = _selected(mask, self.ds.n_features)
-        d2 = self._sq_dists(sel)
-        per_sample: list[dict[int, tuple[int, ...]]] = [
-            {} for _ in range(self.ds.n_samples)
-        ]
-        for d in self.class_ids:
-            members = self._members[int(d)]
-            outsiders = self._outsiders[int(d)]
-            c = min(self.cfg.n_k, members.size)
-            block = d2[np.ix_(outsiders, members)]
-            order = np.argsort(block, axis=1, kind="stable")[:, :c]
-            chosen = members[order]
-            for row, i in enumerate(outsiders):
-                per_sample[int(i)][int(d)] = tuple(int(v) for v in chosen[row])
-        return NeighborSets(cross=tuple(per_sample))
-
-
-def find_neighbors(ds: Dataset, mask, cfg: KernelConfig = KernelConfig()) -> NeighborSets:
-    """One-shot neighbor search; build a CriterionEngine to amortize."""
-    return CriterionEngine(ds, cfg).neighbors(mask)
 
 
 def g_gamma(ds: Dataset, mask, cfg: KernelConfig = KernelConfig()) -> float:

@@ -12,7 +12,6 @@ from frsel.criterion import (
     _cross_sq_dists,
     approx_memberships,
     as_mask,
-    find_neighbors,
     g_gamma,
     g_omega,
     gaussian_kernel,
@@ -25,7 +24,7 @@ from frsel.criterion import (
     popcount,
 )
 from frsel.memetic import FitnessCache
-from reference import random_grid_case, reference_criterion
+from reference import dense_evaluate, find_neighbors, random_grid_case, reference_criterion
 
 N1 = KernelConfig(delta=1.0, per_feature_normalization=True, n_k=1)
 
@@ -142,6 +141,12 @@ class TestGaussianKernel:
     def test_empty_mask(self):
         with pytest.raises(ValueError, match="empty mask"):
             gaussian_kernel([0.0], [1.0], [0])
+
+    def test_widths_must_agree(self):
+        with pytest.raises(ValueError, match="bits"):
+            gaussian_kernel([0, 1, 2], [0, 1, 9], [1, 1])
+        with pytest.raises(ValueError, match="one width"):
+            gaussian_kernel([0, 1, 2], [0, 1], [1, 1, 1])
 
     @given(
         st.lists(st.floats(-50, 50), min_size=2, max_size=5),
@@ -273,6 +278,54 @@ class TestReferenceEquivalence:
             assert abs(v.g_omega - (2.0 * v.g_gamma - 1.0)) <= 1e-12
 
 
+def _edge_case(name):
+    """Small datasets on a 0.1 grid (full of distance ties) for the edge inputs."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+    if name == "two-samples":
+        return make_dataset(rng.integers(-3, 4, size=(2, 9)) / 10.0, [0, 1])
+    n_classes = {"grid-2": 2, "grid-4": 4}.get(name, 3)
+    labels = np.arange(30) % n_classes
+    rng.shuffle(labels)
+    samples = rng.integers(-3, 4, size=(30, 9)) / 10.0
+    if name == "single-sample":
+        labels = np.array([0, 1] + [2] * 28)
+    elif name == "duplicates":
+        twins = np.flatnonzero(labels == 0)[:4]
+        others = np.flatnonzero(labels != 0)[:4]
+        samples[others] = samples[twins]
+    elif name == "constant-columns":
+        samples[:, [0, 4, 8]] = 0.7
+    elif name == "grid-4":
+        labels[labels == 3] = 2
+        labels[:2] = 3  # class 3 keeps 2 samples, fewer than n_k
+    return make_dataset(samples, labels)
+
+
+EDGE_CASES = ["grid-2", "grid-3", "grid-4", "single-sample", "duplicates",
+              "constant-columns", "two-samples"]
+
+
+class TestMatchesDenseEngine:
+    """The class-pair engine equals the dense reference bit for bit, on the
+    stored path and on the per-call path. n_k=5 exceeds the smaller classes,
+    and every mask of 9 features is scored, so sums over 8 and 9 selected
+    columns are covered too."""
+
+    @pytest.mark.parametrize("stored", [True, False], ids=["store", "per-call"])
+    @pytest.mark.parametrize("name", EDGE_CASES)
+    def test_every_mask(self, name, stored, monkeypatch):
+        ds = _edge_case(name)
+        if not stored:
+            monkeypatch.setattr(criterion, "_STORE_BUDGET", 0)
+        for cfg in (KernelConfig(n_k=1), KernelConfig(n_k=5, per_feature_normalization=False)):
+            engine = CriterionEngine(ds, cfg)
+            assert (engine._store is not None) == stored
+            for value in range(1, 1 << ds.n_features):
+                mask = int_to_mask(value, ds.n_features)
+                got = engine.evaluate(mask)
+                assert (got.g_gamma, got.g_omega, got.gc) == dense_evaluate(ds, mask, cfg)
+
+
 class TestInvariances:
     def test_sample_permutation(self):
         rng = np.random.default_rng(17)
@@ -293,20 +346,19 @@ class TestInvariances:
         moved = gc(permuted, mask[perm], N1)
         assert abs(base.gc - moved.gc) <= 1e-12
 
-    def test_direct_distance_path_matches_stack(self):
+    def test_direct_distance_path_matches_stack(self, monkeypatch):
         rng = np.random.default_rng(31)
         ds = make_dataset(rng.normal(size=(30, 5)), rng.integers(0, 2, 30))
         cfg = KernelConfig(n_k=3)
         stacked = CriterionEngine(ds, cfg)
+        monkeypatch.setattr(criterion, "_STORE_BUDGET", 0)
         direct = CriterionEngine(ds, cfg)
-        direct._stack = None
+        assert stacked._store is not None and direct._store is None
         for _ in range(10):
             mask = rng.integers(0, 2, 5).astype(np.uint8)
             if not mask.any():
                 mask[0] = 1
-            a = stacked.evaluate(mask)
-            b = direct.evaluate(mask)
-            assert abs(a.gc - b.gc) <= 1e-12
+            assert stacked.evaluate(mask) == direct.evaluate(mask)
 
     def test_chunked_distances_equal_one_chunk(self, monkeypatch):
         rng = np.random.default_rng(5)
