@@ -74,34 +74,32 @@ class BaselineConfig:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
+        for name in ("pso_c1", "pso_c2", "pso_inertia", "pso_vmax"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.pso_vmax <= 0:
             raise ValueError("pso_vmax must be positive")
-
-
-def _tournament(fits: np.ndarray, rng) -> int:
-    a, b = rng.integers(fits.size, size=2)
-    return int(a) if fits[int(a)] >= fits[int(b)] else int(b)
+        if np.isnan(self.fitness_stop):
+            raise ValueError("fitness_stop must not be NaN")
 
 
 def _ga_step(cfg: BaselineConfig, state, cache, rng):
-    """One GA generation: the elite survives, tournaments breed the rest."""
+    """One GA generation: the elite survives, tournaments breed the rest.
+
+    Each of the np - 1 children has two parents, each the fitter (first on
+    ties) of a random pair, and is their uniform crossover with probability
+    ga_crossover, else a copy of the first parent, then bit-flip mutated.
+    """
     pop, fits = state
-    n = pop.shape[1]
-    elite = pop[int(np.argmax(fits))].copy()
-    children = [elite]
-    while len(children) < cfg.np:
-        a = _tournament(fits, rng)
-        b = _tournament(fits, rng)
-        if rng.random() < cfg.ga_crossover:
-            from_a = rng.random(n) < 0.5
-            child = np.where(from_a, pop[a], pop[b]).astype(np.uint8)
-        else:
-            child = pop[a].copy()
-        flips = rng.random(n) < cfg.ga_mutation
-        child = np.bitwise_xor(child, flips.astype(np.uint8))
-        repair_empty(child, rng)
-        children.append(child)
-    pop = np.stack(children)
+    n_children = cfg.np - 1
+    pairs = rng.integers(fits.size, size=(2, 2, n_children))
+    a, b = np.where(fits[pairs[:, 0]] >= fits[pairs[:, 1]], pairs[:, 0], pairs[:, 1])
+    crossed = rng.random(n_children) < cfg.ga_crossover
+    from_b = crossed[:, None] & (rng.random((n_children, pop.shape[1])) < 0.5)
+    children = np.where(from_b, pop[b], pop[a])
+    children ^= (rng.random(children.shape) < cfg.ga_mutation).astype(np.uint8)
+    repair_empty(children, rng)
+    pop = np.vstack([pop[int(np.argmax(fits))][None], children])
     fits = np.asarray(cache.batch(pop))
     return (pop, fits), _population_step(pop, fits, group_variance(fits))
 
@@ -119,20 +117,17 @@ def _bpso_start(cfg: BaselineConfig, n_features: int, cache, rng):
 def _bpso_step(cfg: BaselineConfig, state, cache, rng):
     """One BPSO generation; the reported best is the swarm's best so far."""
     pos, vel, pbest, pbest_f, gbest, gbest_f = state
-    n = pos.shape[1]
-    for i in range(cfg.np):
-        u1 = rng.random(n)
-        u2 = rng.random(n)
-        here = pos[i].astype(np.float64)
-        vel[i] = (
-            cfg.pso_inertia * vel[i]
-            + cfg.pso_c1 * u1 * (pbest[i].astype(np.float64) - here)
-            + cfg.pso_c2 * u2 * (gbest.astype(np.float64) - here)
-        )
-        np.clip(vel[i], -cfg.pso_vmax, cfg.pso_vmax, out=vel[i])
-        transfer = 1.0 / (1.0 + np.exp(-vel[i]))
-        pos[i] = (rng.random(n) < transfer).astype(np.uint8)
-        repair_empty(pos[i], rng)
+    here = pos.astype(np.float64)
+    u1 = rng.random(pos.shape)
+    u2 = rng.random(pos.shape)
+    vel = (
+        cfg.pso_inertia * vel
+        + cfg.pso_c1 * u1 * (pbest - here)
+        + cfg.pso_c2 * u2 * (gbest - here)
+    )
+    np.clip(vel, -cfg.pso_vmax, cfg.pso_vmax, out=vel)
+    transfer = 1.0 / (1.0 + np.exp(-vel))
+    pos = repair_empty((rng.random(pos.shape) < transfer).astype(np.uint8), rng)
     fits = np.asarray(cache.batch(pos))
     improved = fits > pbest_f
     pbest[improved] = pos[improved]

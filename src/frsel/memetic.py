@@ -3,9 +3,12 @@
 Global exploration is a binary differential evolution whose control
 parameters follow the population's fitness spread: a tight population gets a
 weak mutation scale and a strong crossover rate, a scattered one the
-opposite. The best individual of each generation is refined by a tabu local
-search over bit flips and selected/unselected swaps, and the refined mask
-replaces it when strictly better.
+opposite. A generation is built from whole-population array operations,
+one random draw per quantity: donor keys, mutation gate, forced crossover
+positions and crossover gate are each drawn once, shaped (np, ...). The best
+individual of each generation is refined by a tabu local search over bit
+flips and selected/unselected swaps, and the refined mask replaces it when
+strictly better.
 
 Determinism contract: all randomness flows through one np.random.Generator
 consumed only on the sequential control path. Fitness evaluations may run on
@@ -64,6 +67,8 @@ class MAConfig:
         for name in ("g_max", "tl", "ts_iters", "init_neighbors", "elite_count"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
+        if np.isnan(self.fitness_stop):
+            raise ValueError("fitness_stop must not be NaN")
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,40 +181,31 @@ def adapt_params(sigma_sq: float, cfg: MAConfig) -> tuple[float, float]:
     return f_g, cr_g
 
 
-def mutant_from_donors(base, d1, d2, f_g: float, rng) -> np.ndarray:
-    """Flip base bits where d1 and d2 disagree, each with probability f_g."""
-    base = np.asarray(base, dtype=np.uint8)
-    diff = np.bitwise_xor(np.asarray(d1, np.uint8), np.asarray(d2, np.uint8))
-    gate = (rng.random(base.size) < f_g).astype(np.uint8)
-    return np.bitwise_xor(base, diff & gate)
+def bde_mutate(pop: np.ndarray, f_g: float, rng) -> np.ndarray:
+    """One mutant per row: a base with bits flipped where two donors disagree.
+
+    Row i takes the three smallest of np - 1 random keys, one per other row,
+    as base, first and second donor in ascending key order; each differing
+    donor bit is applied with probability f_g.
+    """
+    n_pop = pop.shape[0]
+    keys = rng.random((n_pop, n_pop - 1))
+    idx = np.argpartition(keys, 2, axis=1)[:, :3]
+    order = np.take_along_axis(keys, idx, axis=1).argsort(axis=1)
+    idx = np.take_along_axis(idx, order, axis=1)
+    idx += idx >= np.arange(n_pop)[:, None]
+    base, d1, d2 = pop[idx[:, 0]], pop[idx[:, 1]], pop[idx[:, 2]]
+    gate = rng.random(pop.shape) < f_g
+    return base ^ ((d1 ^ d2) & gate)
 
 
-def bde_mutate(pop: np.ndarray, i: int, f_g: float, rng) -> np.ndarray:
-    """Mutant for slot i from three distinct donors, none equal to i."""
-    idx = rng.choice(pop.shape[0] - 1, size=3, replace=False)
-    idx[idx >= i] += 1
-    r1, r2, r3 = (int(v) for v in idx)
-    return mutant_from_donors(pop[r1], pop[r2], pop[r3], f_g, rng)
-
-
-def crossover_bits(target, mutant, j_rand: int, gate) -> np.ndarray:
-    """Binomial mix: gated bits come from the mutant, j_rand always does."""
-    trial = np.where(gate, mutant, target).astype(np.uint8)
-    trial[j_rand] = mutant[j_rand]
-    return trial
-
-
-def bde_crossover(target, mutant, cr_g: float, rng) -> np.ndarray:
-    """Randomized binomial crossover with one forced mutant position."""
-    target = np.asarray(target, dtype=np.uint8)
-    j_rand = int(rng.integers(target.size))
-    gate = rng.random(target.size) < cr_g
-    return crossover_bits(target, np.asarray(mutant, np.uint8), j_rand, gate)
-
-
-def bde_select(target, trial, fitness_fn) -> np.ndarray:
-    """Greedy survivor selection; exact ties keep the trial."""
-    return trial if fitness_fn(trial) >= fitness_fn(target) else target
+def bde_crossover(pop: np.ndarray, mutants: np.ndarray, cr_g: float, rng) -> np.ndarray:
+    """Binomial crossover per row, with one forced mutant position each."""
+    n_pop, n = pop.shape
+    j_rand = rng.integers(n, size=n_pop)
+    take = rng.random((n_pop, n)) < cr_g
+    take[np.arange(n_pop), j_rand] = True
+    return np.where(take, mutants, pop)
 
 
 def _neighborhood(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -315,32 +311,32 @@ def ts_local_search(start, cfg: MAConfig, fitness_fn, rng, trace=None) -> np.nda
     return best
 
 
-def repair_empty(mask: np.ndarray, rng) -> np.ndarray:
-    """Set one uniform random bit if the mask is all zeros. In place."""
-    if not mask.any():
-        mask[int(rng.integers(mask.size))] = 1
-    return mask
+def repair_empty(masks: np.ndarray, rng) -> np.ndarray:
+    """Set one uniform random bit in each all-zero row of an (M, N) stack. In place."""
+    empty = np.flatnonzero(~masks.any(axis=1))
+    if empty.size:
+        masks[empty, rng.integers(masks.shape[1], size=empty.size)] = 1
+    return masks
 
 
 def init_population(n_features: int, cfg, fitness_fn, rng) -> np.ndarray:
     """cfg.np uniform random masks, repaired, then locally improved.
 
     Each mask is replaced by the best of itself and cfg.init_neighbors
-    random single-bit-flip neighbors; the original wins ties. A cfg without
-    init_neighbors (a BaselineConfig) gets no refinement.
+    random single-bit-flip neighbors; the original wins ties. All
+    candidates are scored in one batch. A cfg without init_neighbors (a
+    BaselineConfig) gets no refinement.
     """
-    pop = rng.integers(0, 2, size=(cfg.np, n_features), dtype=np.uint8)
-    for i in range(cfg.np):
-        repair_empty(pop[i], rng)
+    pop = repair_empty(rng.integers(0, 2, size=(cfg.np, n_features), dtype=np.uint8), rng)
     n_neighbors = getattr(cfg, "init_neighbors", 0)
     if n_neighbors == 0:
         return pop
-    for i in range(cfg.np):
-        flips = rng.integers(0, n_features, size=n_neighbors)
-        flipped = _toggled(pop[i], flips, np.full(n_neighbors, n_features))
-        candidates = np.vstack([pop[i], flipped])
-        pop[i] = candidates[int(np.argmax(_score(fitness_fn, candidates)))]
-    return pop
+    flips = rng.integers(0, n_features, size=(cfg.np, n_neighbors))
+    candidates = np.repeat(pop[:, None, :], n_neighbors + 1, axis=1)
+    rows = np.arange(cfg.np)[:, None]
+    candidates[rows, np.arange(1, n_neighbors + 1), flips] ^= 1
+    fits = _score(fitness_fn, candidates.reshape(-1, n_features))
+    return candidates[rows[:, 0], fits.reshape(cfg.np, -1).argmax(axis=1)]
 
 
 class _Step(NamedTuple):
@@ -404,8 +400,9 @@ def _drive(ds: Dataset, kcfg: KernelConfig, cfg, workers: int, start, step) -> S
         cache.close()
 
 
-# The steps call init_population, ts_local_search, bde_mutate and
-# bde_crossover as module globals, which bench/spans.py replaces to trace them.
+# _population_start calls init_population, and _ma_step calls bde_mutate,
+# bde_crossover and ts_local_search, as module globals: bench/spans.py
+# replaces those names to trace them.
 def _population_start(cfg, n_features: int, cache, rng):
     """State (pop, fits) from init_population, and its report."""
     pop = init_population(n_features, cfg, cache, rng)
@@ -422,13 +419,10 @@ def _ma_step(cfg: MAConfig, state, cache, rng):
     pop, fits = state
     sigma_sq = group_variance(fits)
     f_g, cr_g = adapt_params(sigma_sq, cfg)
-    trials = np.empty_like(pop)
-    for i in range(cfg.np):
-        mutant = bde_mutate(pop, i, f_g, rng)
-        trials[i] = bde_crossover(pop[i], mutant, cr_g, rng)
+    trials = bde_crossover(pop, bde_mutate(pop, f_g, rng), cr_g, rng)
     trial_fits = np.asarray(cache.batch(trials))
     keep = trial_fits >= fits
-    pop = np.where(keep[:, None], trials, pop).astype(np.uint8)
+    pop = np.where(keep[:, None], trials, pop)
     fits = np.where(keep, trial_fits, fits)
     if cfg.elite_count > 0 and cfg.ts_iters > 0:
         for idx in np.argsort(-fits, kind="stable")[: cfg.elite_count]:

@@ -65,6 +65,18 @@ class TestBaselineConfig:
         with pytest.raises(ValueError, match="g_max"):
             BaselineConfig(g_max=-1)
 
+    @pytest.mark.parametrize("name", ["pso_c1", "pso_c2", "pso_inertia", "pso_vmax"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_pso_coefficients_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            BaselineConfig(kind="BPSO", **{name: value})
+
+    def test_fitness_stop_not_nan(self):
+        with pytest.raises(ValueError, match="fitness_stop must not be NaN"):
+            BaselineConfig(fitness_stop=float("nan"))
+        for stop in (float("inf"), float("-inf")):
+            assert BaselineConfig(fitness_stop=stop).fitness_stop == stop
+
 
 class TestEachKind:
     @pytest.mark.parametrize("kind", BASELINE_KINDS)
@@ -129,6 +141,24 @@ class TestEachKind:
         rescored = CriterionEngine(small_ds, KCFG).evaluate(result.best_mask).gc
         assert result.best_fitness == rescored
         assert result.log[-1].best_fitness == rescored
+
+    @pytest.mark.parametrize("kind", ("MA",) + BASELINE_KINDS)
+    def test_worker_count_does_not_change_results(self, kind, small_ds):
+        def run(workers):
+            if kind == "MA":
+                cfg = MAConfig(np=8, g_max=6, tl=3, ts_iters=5, init_neighbors=2,
+                               fitness_stop=2.0, seed=11)
+                return run_ma(small_ds, KCFG, cfg, workers=workers)
+            cfg = BaselineConfig(kind=kind, np=8, g_max=6, fitness_stop=2.0, seed=11)
+            return run_baseline(small_ds, KCFG, cfg, workers=workers)
+
+        serial, pooled = run(0), run(2)
+        assert np.array_equal(serial.best_mask, pooled.best_mask)
+        assert serial.best_fitness == pooled.best_fitness
+        assert serial.total_evaluations == pooled.total_evaluations
+        assert runlog_lines(serial.log, include_timing=False) == runlog_lines(
+            pooled.log, include_timing=False
+        )
 
     def test_unknown_kind_at_dispatch(self, small_ds):
         cfg = BaselineConfig(kind="GA", np=4)

@@ -23,11 +23,8 @@ from frsel.memetic import (
     FitnessCache,
     bde_crossover,
     bde_mutate,
-    bde_select,
-    crossover_bits,
     fitness,
     init_population,
-    mutant_from_donors,
     repair_empty,
     runlog_record_dict,
     ts_local_search,
@@ -71,6 +68,12 @@ class TestMAConfig:
         for key in ("g_max", "tl", "ts_iters", "init_neighbors", "elite_count"):
             with pytest.raises(ValueError, match=key):
                 MAConfig(**{key: -1})
+
+    def test_fitness_stop_not_nan(self):
+        with pytest.raises(ValueError, match="fitness_stop must not be NaN"):
+            MAConfig(fitness_stop=float("nan"))
+        for stop in (float("inf"), float("-inf")):
+            assert MAConfig(fitness_stop=stop).fitness_stop == stop
 
 
 class TestGroupVariance:
@@ -124,21 +127,49 @@ class TestAdaptParams:
         assert cfg.cr_min <= cr_g <= cfg.cr_max
 
 
+def other_rows_xor3(pop: np.ndarray, i: int) -> list[list[int]]:
+    """XOR of every three distinct rows of pop other than row i."""
+    others = [j for j in range(pop.shape[0]) if j != i]
+    return [
+        (pop[a] ^ pop[b] ^ pop[c]).tolist()
+        for ai, a in enumerate(others)
+        for bi, b in enumerate(others[ai + 1:], ai + 1)
+        for c in others[bi + 1:]
+    ]
+
+
 class TestMutation:
+    """bde_mutate builds one mutant per row of the population."""
+
+    POP = np.array(
+        [bits("10110010"), bits("11000111"), bits("01000100"),
+         bits("00111001"), bits("11110000"), bits("00001011")]
+    )
+
     def test_full_rate_applies_every_difference(self):
+        # at rate 1 every differing donor bit is flipped, so each mutant is
+        # base ^ d1 ^ d2 for some three distinct other rows
         rng = np.random.default_rng(0)
-        out = mutant_from_donors(bits("10110"), bits("11000"), bits("01000"), 1.0, rng)
-        assert out.tolist() == bits("00110").tolist()
+        for _ in range(50):
+            out = bde_mutate(self.POP, 1.0, rng)
+            assert out.shape == self.POP.shape and out.dtype == np.uint8
+            for i in range(self.POP.shape[0]):
+                assert out[i].tolist() in other_rows_xor3(self.POP, i)
 
     def test_zero_rate_returns_base(self):
+        # the base of row i is another row, used as is
         rng = np.random.default_rng(0)
-        out = mutant_from_donors(bits("10110"), bits("11000"), bits("01000"), 0.0, rng)
-        assert out.tolist() == bits("10110").tolist()
+        for _ in range(50):
+            out = bde_mutate(self.POP, 0.0, rng)
+            for i in range(self.POP.shape[0]):
+                assert any(out[i].tolist() == self.POP[j].tolist()
+                           for j in range(self.POP.shape[0]) if j != i)
 
     def test_equal_donors_return_base(self):
-        rng = np.random.default_rng(0)
-        out = mutant_from_donors(bits("10110"), bits("01000"), bits("01000"), 0.7, rng)
-        assert out.tolist() == bits("10110").tolist()
+        # in a population of one repeated mask every pair of donors agrees
+        pop = np.tile(bits("10110"), (5, 1))
+        out = bde_mutate(pop, 0.7, np.random.default_rng(0))
+        assert out.tolist() == pop.tolist()
 
     def test_donors_distinct_and_exclude_slot(self):
         # one-hot rows make donor identities visible in the mutant: three
@@ -146,42 +177,86 @@ class TestMutation:
         pop = np.eye(6, dtype=np.uint8)
         rng = np.random.default_rng(7)
         for _ in range(200):
-            i = int(rng.integers(6))
-            mutant = bde_mutate(pop, i, 1.0, rng)
-            assert popcount(mutant) == 3
-            assert mutant[i] == 0
+            mutants = bde_mutate(pop, 1.0, rng)
+            assert mutants.sum(axis=1).tolist() == [3] * 6
+            assert not mutants.diagonal().any()
+
+    def test_roles_follow_ascending_keys(self):
+        # the base is the row with the smallest of np - 1 keys, the row's own
+        # index skipped: the first draw, shaped (np, np - 1)
+        pop = np.eye(6, dtype=np.uint8)
+        keys = np.random.default_rng(3).random((6, 5))
+        base = keys.argmin(axis=1)
+        base += base >= np.arange(6)
+        out = bde_mutate(pop, 0.0, np.random.default_rng(3))
+        assert out.tolist() == pop[base].tolist()
 
 
 class TestCrossover:
+    """bde_crossover mixes each row with its mutant."""
+
     def test_forced_index_only(self):
-        gate = np.zeros(4, dtype=bool)
-        out = crossover_bits(bits("0000"), bits("1111"), 2, gate)
-        assert out.tolist() == bits("0010").tolist()
+        # at rate 0 only the forced position comes from the mutant, and it
+        # is always taken
+        rng = np.random.default_rng(0)
+        target = np.zeros((40, 4), dtype=np.uint8)
+        mutants = np.ones((40, 4), dtype=np.uint8)
+        out = bde_crossover(target, mutants, 0.0, rng)
+        assert out.sum(axis=1).tolist() == [1] * 40
+        assert set(out.argmax(axis=1).tolist()) == {0, 1, 2, 3}
 
     def test_rate_one_copies_mutant(self):
         rng = np.random.default_rng(1)
-        target, mutant = bits("010101"), bits("101010")
-        out = bde_crossover(target, mutant, 1.0, rng)
-        assert out.tolist() == mutant.tolist()
+        target = np.tile(bits("010101"), (5, 1))
+        mutants = np.tile(bits("101010"), (5, 1))
+        out = bde_crossover(target, mutants, 1.0, rng)
+        assert out.tolist() == mutants.tolist()
 
     def test_rate_zero_changes_at_most_one_bit(self):
         rng = np.random.default_rng(2)
-        target, mutant = bits("000000"), bits("111111")
+        target = rng.integers(0, 2, (30, 6), dtype=np.uint8)
+        mutants = rng.integers(0, 2, (30, 6), dtype=np.uint8)
         for _ in range(20):
-            out = bde_crossover(target, mutant, 0.0, rng)
-            assert popcount(np.bitwise_xor(out, target)) <= 1
+            out = bde_crossover(target, mutants, 0.0, rng)
+            assert (out ^ target).sum(axis=1).max() <= 1
+
+
+class FunctionCache:
+    """The fitness-cache interface _ma_step uses, over a plain function."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __call__(self, mask):
+        return self.f(mask)
+
+    def batch(self, masks):
+        return [self.f(m) for m in masks]
 
 
 class TestSelection:
     def test_three_rules(self):
-        table = {(0, 1): 0.3, (1, 0): 0.6, (1, 1): 0.6}
-        f = table_fitness(table)
-        better = bde_select(bits("01"), bits("10"), f)
-        assert better.tolist() == [1, 0]
-        worse = bde_select(bits("10"), bits("01"), f)
-        assert worse.tolist() == [1, 0]
-        tie = bde_select(bits("10"), bits("11"), f)
-        assert tie.tolist() == [1, 1]
+        # through one DE generation with fitness = popcount: a fitter trial
+        # replaces its target, a less fit one does not, and a tie keeps
+        # the trial
+        cfg = MAConfig(np=12, elite_count=0)
+        rng = np.random.default_rng(5)
+        pop = repair_empty(rng.integers(0, 2, (12, 6), dtype=np.uint8), rng)
+        fits = pop.sum(axis=1).astype(np.float64)
+        f_g, cr_g = adapt_params(group_variance(fits), cfg)
+        again = np.random.default_rng(6)
+        trials = bde_crossover(pop, bde_mutate(pop, f_g, again), cr_g, again)
+        (new_pop, new_fits), _ = memetic._ma_step(
+            cfg, (pop, fits), FunctionCache(lambda m: float(popcount(m))),
+            np.random.default_rng(6),
+        )
+        trial_fits = trials.sum(axis=1)
+        changed = (trials != pop).any(axis=1)
+        assert (trial_fits > fits).any() and (trial_fits < fits).any()
+        assert ((trial_fits == fits) & changed).any()
+        keep = trial_fits >= fits
+        assert new_pop.tolist() == np.where(keep[:, None], trials, pop).tolist()
+        assert new_fits.tolist() == np.maximum(trial_fits, fits).tolist()
 
 
 TRAJECTORY_TABLE = {
@@ -287,7 +362,7 @@ def rounded_weight_fitness(n: int, seed: int):
 
 def random_start(n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed + 1)
-    return repair_empty(rng.integers(0, 2, n, dtype=np.uint8), rng)
+    return repair_empty(rng.integers(0, 2, (1, n), dtype=np.uint8), rng)[0]
 
 
 def walk_both(start, cfg, fitness_ref, fitness_new, rng_seed):
@@ -355,16 +430,22 @@ class TestTabuMatchesReference:
 
 class TestRepairAndInit:
     def test_repair_sets_exactly_one_bit(self):
+        # every empty row gets one bit; 20 rows see more than one position
         rng = np.random.default_rng(0)
-        mask = np.zeros(8, dtype=np.uint8)
-        out = repair_empty(mask, rng)
-        assert out is mask
-        assert popcount(out) == 1
+        masks = np.zeros((20, 8), dtype=np.uint8)
+        masks[3] = bits("01000010")
+        out = repair_empty(masks, rng)
+        assert out is masks
+        assert out.sum(axis=1).tolist() == [1, 1, 1, 2] + [1] * 16
+        assert out[3].tolist() == bits("01000010").tolist()
+        assert len(set(out.argmax(axis=1).tolist())) > 1
 
     def test_repair_leaves_nonempty_alone(self):
         rng = np.random.default_rng(0)
-        mask = bits("0100")
-        assert repair_empty(mask, rng).tolist() == [0, 1, 0, 0]
+        masks = np.array([bits("0100"), bits("1001")])
+        before = rng.bit_generator.state
+        assert repair_empty(masks, rng).tolist() == [[0, 1, 0, 0], [1, 0, 0, 1]]
+        assert rng.bit_generator.state == before
 
     def test_init_population_shape_and_feasibility(self):
         cfg = MAConfig(np=12, init_neighbors=3)
@@ -396,6 +477,22 @@ class TestRepairAndInit:
                               lambda m: 0.0, np.random.default_rng(2))
         assert sum(popcount(r) for r in refined) <= sum(popcount(r) for r in raw)
 
+    def test_init_scores_every_candidate_in_one_batch(self):
+        calls = []
+
+        def f(mask):
+            return -float(popcount(mask))
+
+        class Counting(FunctionCache):
+            def batch(self, masks):
+                calls.append(len(masks))
+                return super().batch(masks)
+
+        cfg = MAConfig(np=7, init_neighbors=4)
+        pop = init_population(9, cfg, Counting(f), np.random.default_rng(1))
+        assert calls == [7 * 5]
+        assert pop.shape == (7, 9)
+
 
 class TestFitnessCache:
     def test_counts_distinct_masks_only(self):
@@ -426,8 +523,7 @@ class TestFitnessCache:
     def test_worker_pool_matches_serial(self):
         ds = tiny_dataset()
         rng = np.random.default_rng(9)
-        masks = [repair_empty(rng.integers(0, 2, 6, dtype=np.uint8), rng)
-                 for _ in range(12)]
+        masks = list(repair_empty(rng.integers(0, 2, (12, 6), dtype=np.uint8), rng))
         serial = FitnessCache(ds, KernelConfig())
         pooled = FitnessCache(ds, KernelConfig(), workers=3)
         try:
