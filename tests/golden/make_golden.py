@@ -49,8 +49,8 @@ CASES: dict[str, list[str]] = {
 # also splits the data, as `frsel select --seed` does.
 BASELINE_CASES: dict[str, dict] = {
     "synth10": {"np": 8, "g_max": 12, "seed": 0},
-    # every kind passes fitness_stop within 12 generations (BPSO at 1, GA at
-    # 2, BDE at 8), so the stop path runs
+    # every kind passes fitness_stop within 12 generations (GA at 1, BDE at
+    # 2, BPSO at 7), so the stop path runs
     "three_class_small": {"np": 4, "g_max": 12, "seed": 1, "fitness_stop": 0.9629},
     "wide48": {"np": 5, "g_max": 4, "seed": 2},
 }
