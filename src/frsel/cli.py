@@ -264,6 +264,8 @@ def cmd_compare(cfg) -> int:
     optimizers = ["MA"] + [k for k in kinds if k != "MA"]
     runs = cfg["compare.runs"]
     seeds = [cfg["seed"] + r for r in range(runs)]
+    ma_config = _section(cfg, "ma", seed=cfg["seed"])
+    baseline_config = _section(cfg, "baselines", seed=cfg["seed"])
     reference = None
     if cfg["compare.certify"]:
         reference = exhaustive_best(train, kcfg, max_n=cfg["oracle.max_n"]).best_fitness
@@ -272,8 +274,8 @@ def cmd_compare(cfg) -> int:
         kcfg,
         optimizers,
         seeds=seeds,
-        ma_config=_section(cfg, "ma", seed=cfg["seed"]),
-        baseline_config=_section(cfg, "baselines", seed=cfg["seed"]),
+        ma_config=ma_config,
+        baseline_config=baseline_config,
         reference_fitness=reference,
         workers=cfg["workers"],
     )

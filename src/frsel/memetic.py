@@ -194,7 +194,7 @@ def bde_mutate(pop: np.ndarray, f_g: float, rng) -> np.ndarray:
     order = np.take_along_axis(keys, idx, axis=1).argsort(axis=1)
     idx = np.take_along_axis(idx, order, axis=1)
     idx += idx >= np.arange(n_pop)[:, None]
-    base, d1, d2 = pop[idx[:, 0]], pop[idx[:, 1]], pop[idx[:, 2]]
+    base, d1, d2 = pop[idx.T]
     gate = rng.random(pop.shape) < f_g
     return base ^ ((d1 ^ d2) & gate)
 

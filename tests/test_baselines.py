@@ -142,17 +142,11 @@ class TestEachKind:
         assert result.best_fitness == rescored
         assert result.log[-1].best_fitness == rescored
 
-    @pytest.mark.parametrize("kind", ("MA",) + BASELINE_KINDS)
+    @pytest.mark.parametrize("kind", BASELINE_KINDS)
     def test_worker_count_does_not_change_results(self, kind, small_ds):
-        def run(workers):
-            if kind == "MA":
-                cfg = MAConfig(np=8, g_max=6, tl=3, ts_iters=5, init_neighbors=2,
-                               fitness_stop=2.0, seed=11)
-                return run_ma(small_ds, KCFG, cfg, workers=workers)
-            cfg = BaselineConfig(kind=kind, np=8, g_max=6, fitness_stop=2.0, seed=11)
-            return run_baseline(small_ds, KCFG, cfg, workers=workers)
-
-        serial, pooled = run(0), run(2)
+        cfg = BaselineConfig(kind=kind, np=8, g_max=6, fitness_stop=2.0, seed=11)
+        serial = run_baseline(small_ds, KCFG, cfg, workers=0)
+        pooled = run_baseline(small_ds, KCFG, cfg, workers=2)
         assert np.array_equal(serial.best_mask, pooled.best_mask)
         assert serial.best_fitness == pooled.best_fitness
         assert serial.total_evaluations == pooled.total_evaluations

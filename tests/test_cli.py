@@ -280,12 +280,17 @@ class TestCompare:
         assert rc == 1
         assert "unknown optimizer kind" in capsys.readouterr().err
 
-    def test_nan_optimizer_settings_rejected(self, small_csv, tmp_path, capsys):
+    def test_nan_optimizer_settings_rejected(self, small_csv, tmp_path, capsys, monkeypatch):
+        # the configs are checked before the certifying oracle runs
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("oracle ran before the config was checked")
+
+        monkeypatch.setattr(cli, "exhaustive_best", no_oracle)
         for flag, field in (("--baselines.pso_vmax=nan", "pso_vmax"),
                             ("--baselines.fitness_stop=nan", "fitness_stop"),
                             ("--ma.fitness_stop=nan", "fitness_stop")):
             rc = main(["compare", "--data", small_csv, "--out", str(tmp_path / "run"),
-                       "--baselines.kinds=BPSO", flag])
+                       "--baselines.kinds=BPSO", "--compare.certify=true", flag])
             assert rc == 1
             err = capsys.readouterr().err
             assert f"{field} must" in err and "Traceback" not in err

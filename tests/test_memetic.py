@@ -1,4 +1,5 @@
 import json
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -130,12 +131,7 @@ class TestAdaptParams:
 def other_rows_xor3(pop: np.ndarray, i: int) -> list[list[int]]:
     """XOR of every three distinct rows of pop other than row i."""
     others = [j for j in range(pop.shape[0]) if j != i]
-    return [
-        (pop[a] ^ pop[b] ^ pop[c]).tolist()
-        for ai, a in enumerate(others)
-        for bi, b in enumerate(others[ai + 1:], ai + 1)
-        for c in others[bi + 1:]
-    ]
+    return [(pop[a] ^ pop[b] ^ pop[c]).tolist() for a, b, c in combinations(others, 3)]
 
 
 class TestMutation:
@@ -618,6 +614,8 @@ class TestRunMA:
         kcfg = KernelConfig()
         serial = run_ma(ds, kcfg, MAConfig(**self.CFG), workers=0)
         pooled = run_ma(ds, kcfg, MAConfig(**self.CFG), workers=2)
+        assert np.array_equal(serial.best_mask, pooled.best_mask)
+        assert serial.best_fitness == pooled.best_fitness
         assert runlog_lines(serial.log, include_timing=False) == runlog_lines(
             pooled.log, include_timing=False
         )
