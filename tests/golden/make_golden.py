@@ -58,6 +58,8 @@ BASELINE_CASES: dict[str, dict] = {
 # case name -> extra `frsel oracle` arguments after --data/--out.
 ORACLE_CASES: dict[str, list[str]] = {
     "synth10": ["--seed", "0"],
+    # 6 features and 3 classes: 63 masks
+    "three_class_small": ["--seed", "1"],
 }
 
 
