@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from statistics import fmean
 
 import numpy as np
@@ -241,20 +241,11 @@ def compare(
 
 
 def compare_csv_text(rows) -> str:
-    """Render comparison rows as CSV."""
+    """Render comparison rows as CSV, one column per ComparisonRow field."""
+    names = [f.name for f in fields(ComparisonRow)]
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(
-        ["optimizer", "mean_time_s", "best_fitness", "mean_fitness", "success_rate_pct"]
-    )
+    writer.writerow(names)
     for row in rows:
-        writer.writerow(
-            [
-                row.optimizer,
-                repr(row.mean_time_s),
-                repr(row.best_fitness),
-                repr(row.mean_fitness),
-                repr(row.success_rate_pct),
-            ]
-        )
+        writer.writerow([getattr(row, name) for name in names])
     return buf.getvalue()

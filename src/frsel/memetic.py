@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -445,19 +445,11 @@ def run_ma(
 
 
 def runlog_record_dict(record: GenerationRecord, include_timing: bool = True) -> dict:
-    """JSON-ready dict for one generation record."""
-    out = {
-        "g": record.g,
-        "best_fitness": record.best_fitness,
-        "mean_fitness": record.mean_fitness,
-        "sigma_sq": record.sigma_sq,
-        "f_g": record.f_g,
-        "cr_g": record.cr_g,
-        "best_mask": mask_to_hex(record.best_mask),
-        "evaluations_so_far": record.evaluations_so_far,
-    }
-    if include_timing:
-        out["elapsed_ms"] = record.elapsed_ms
+    """JSON-ready dict for one generation record: its fields, best_mask as hex."""
+    out = {f.name: getattr(record, f.name) for f in fields(record)}
+    out["best_mask"] = mask_to_hex(record.best_mask)
+    if not include_timing:
+        del out["elapsed_ms"]
     return out
 
 

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .criterion import CriterionEngine, KernelConfig, int_to_mask, mask_names, mask_to_hex
+from .criterion import CriterionEngine, KernelConfig, mask_names, mask_to_hex
 from .datasets import Dataset
 
 DEFAULT_MAX_N = 20
@@ -31,46 +31,33 @@ def exhaustive_best(
 ) -> OracleResult:
     """Score all 2^N - 1 non-empty masks and return the certified optimum.
 
-    Ties are broken toward smaller popcount, then smaller mask integer, so
-    the result is reproducible when distinct masks score identically. The
-    max_n guard caps the exponential sweep.
+    Every mask is scored first, then one stable sort selects: highest
+    fitness, then smaller popcount, then smaller mask integer, so the result
+    is reproducible when distinct masks score identically. The max_n guard
+    caps the exponential sweep.
     """
     n = ds.n_features
     if n > max_n:
         raise ValueError(f"N={n} exceeds max_n={max_n}")
     engine = CriterionEngine(ds, kcfg)
-    best_value = -np.inf
-    best_mask: np.ndarray | None = None
-    best_bits = 0
-    runner_up: float | None = None
-    for value_int in range(1, 1 << n):
-        mask = int_to_mask(value_int, n)
-        score = engine.evaluate(mask).gc
-        bits = int(mask.sum())
-        if score > best_value or (score == best_value and bits < best_bits):
-            if best_mask is not None:
-                runner_up = best_value if runner_up is None else max(runner_up, best_value)
-            best_value = score
-            best_mask = mask
-            best_bits = bits
-        else:
-            runner_up = score if runner_up is None else max(runner_up, score)
+    ints = np.arange(1, 1 << n, dtype=np.uint32)
+    masks = np.empty((ints.size, n), dtype=np.uint8)
+    for j in range(n):
+        masks[:, j] = (ints >> j) & 1
+    scores = np.fromiter((engine.evaluate(m).gc for m in masks), np.float64, ints.size)
+    order = np.lexsort((masks.sum(axis=1), -scores))
     return OracleResult(
-        best_mask=best_mask,
-        best_fitness=float(best_value),
-        evaluated=(1 << n) - 1,
-        runner_up_fitness=runner_up,
+        best_mask=masks[order[0]].copy(),
+        best_fitness=float(scores[order[0]]),
+        evaluated=ints.size,
+        runner_up_fitness=float(scores[order[1]]) if n > 1 else None,
     )
 
 
 def oracle_to_dict(result: OracleResult, feature_names=None) -> dict:
-    """JSON-ready form of an OracleResult."""
-    out = {
-        "best_mask": mask_to_hex(result.best_mask),
-        "best_fitness": result.best_fitness,
-        "evaluated": result.evaluated,
-        "runner_up_fitness": result.runner_up_fitness,
-    }
+    """JSON-ready form of an OracleResult: its fields, best_mask as hex."""
+    out = {f.name: getattr(result, f.name) for f in fields(result)}
+    out["best_mask"] = mask_to_hex(result.best_mask)
     if feature_names is not None:
         out["best_features"] = mask_names(result.best_mask, feature_names)
     return out

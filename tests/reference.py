@@ -13,6 +13,11 @@ The engine's values must equal dense_evaluate's bit for bit.
 reference_ts_local_search is the list-based tabu walk that the array-native
 frsel.memetic.ts_local_search replaced; differential tests require both to
 produce the same trace, result and RNG state.
+
+reference_exhaustive_best is the oracle as a running best/runner-up loop
+over the masks in integer order, the form frsel.oracle.exhaustive_best had
+before it scored every mask and then selected; both must return the same
+best mask, evaluation count, best fitness and runner-up fitness.
 """
 
 from __future__ import annotations
@@ -21,6 +26,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from frsel.criterion import CriterionEngine, KernelConfig, int_to_mask
 
 
 def reference_criterion(samples, labels, selected, delta, per_feature_normalization, n_k):
@@ -236,3 +243,29 @@ def reference_ts_local_search(start, cfg: MAConfig, fitness_fn, rng, trace=None)
         if trace is not None:
             trace.append((it, tuple(chosen), float(chosen_f)))
     return best
+
+
+def reference_exhaustive_best(ds, kcfg=KernelConfig()):
+    """Return (best_mask, best_fitness, evaluated, runner_up_fitness).
+
+    Ties are broken toward smaller popcount, then smaller mask integer.
+    """
+    n = ds.n_features
+    engine = CriterionEngine(ds, kcfg)
+    best_value = -np.inf
+    best_mask: np.ndarray | None = None
+    best_bits = 0
+    runner_up: float | None = None
+    for value_int in range(1, 1 << n):
+        mask = int_to_mask(value_int, n)
+        score = engine.evaluate(mask).gc
+        bits = int(mask.sum())
+        if score > best_value or (score == best_value and bits < best_bits):
+            if best_mask is not None:
+                runner_up = best_value if runner_up is None else max(runner_up, best_value)
+            best_value = score
+            best_mask = mask
+            best_bits = bits
+        else:
+            runner_up = score if runner_up is None else max(runner_up, score)
+    return best_mask, float(best_value), (1 << n) - 1, runner_up

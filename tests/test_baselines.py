@@ -1,5 +1,6 @@
 import csv
 import io
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from frsel import (
     runlog_lines,
     synth_clusters,
 )
-from frsel.baselines import BASELINE_KINDS, compare_csv_text
+from frsel.baselines import BASELINE_KINDS, ComparisonRow, compare_csv_text
 from frsel.criterion import CriterionEngine, popcount
 
 KCFG = KernelConfig()
@@ -214,6 +215,7 @@ class TestCompare:
             "optimizer", "mean_time_s", "best_fitness",
             "mean_fitness", "success_rate_pct",
         ]
+        assert parsed[0] == [f.name for f in fields(ComparisonRow)]
         assert len(parsed) == 2
         assert parsed[1][0] == "BDE"
         assert float(parsed[1][2]) == rows[0].best_fitness

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 from itertools import combinations
 
 import numpy as np
@@ -22,6 +23,7 @@ from frsel.criterion import hex_to_mask, popcount
 from frsel.memetic import (
     EMPTY_MASK_FITNESS,
     FitnessCache,
+    GenerationRecord,
     bde_crossover,
     bde_mutate,
     fitness,
@@ -686,6 +688,9 @@ class TestRunlog:
         }
         trimmed = runlog_record_dict(rec, include_timing=False)
         assert "elapsed_ms" not in trimmed
+        names = [f.name for f in fields(GenerationRecord)]
+        assert list(full) == names
+        assert list(trimmed) == [name for name in names if name != "elapsed_ms"]
         decoded = hex_to_mask(full["best_mask"], ds.n_features)
         assert np.array_equal(decoded, rec.best_mask)
 

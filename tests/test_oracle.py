@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,8 @@ from conftest import make_dataset
 from frsel import KernelConfig, MAConfig, exhaustive_best, run_ma
 from frsel.datasets import informative_indices
 from frsel.memetic import fitness
-from frsel.oracle import oracle_to_dict
+from frsel.oracle import OracleResult, oracle_to_dict
+from reference import reference_exhaustive_best
 
 KCFG = KernelConfig()
 
@@ -65,6 +68,41 @@ def random_small_problem(seed: int):
     return make_dataset(samples, labels), KernelConfig(n_k=int(rng.integers(1, 4)))
 
 
+def tie_heavy_problem(seed: int):
+    """Seeded dataset of 1-7 features on a 0.1 value grid whose columns
+    repeat, so that many masks score the same."""
+    rng = np.random.default_rng(seed)
+    n_base = int(rng.integers(1, 4))
+    n_features = int(rng.integers(n_base, 8))
+    n_classes = int(rng.integers(2, 4))
+    n_samples = int(rng.integers(2 * n_classes, 12))
+    labels = rng.permutation(np.arange(n_samples) % n_classes)
+    base = rng.integers(-3, 4, size=(n_samples, n_base)) / 10.0
+    extra = rng.integers(n_base, size=n_features - n_base)
+    samples = base[:, rng.permutation(np.concatenate([np.arange(n_base), extra]))]
+    return make_dataset(samples, labels), KernelConfig(n_k=int(rng.integers(1, 4)))
+
+
+class TestMatchesReference:
+    @pytest.mark.parametrize("problem", [random_small_problem, tie_heavy_problem])
+    def test_same_optimum_and_runner_up(self, problem):
+        # Floats compare by repr, so a signed zero or any last-bit change shows.
+        ties = 0
+        for seed in range(60):
+            ds, kcfg = problem(seed)
+            got = exhaustive_best(ds, kcfg)
+            mask, best, evaluated, runner_up = reference_exhaustive_best(ds, kcfg)
+            case = (seed, ds.n_features)
+            assert got.best_mask.tolist() == mask.tolist(), case
+            assert got.best_mask.dtype == np.uint8 and got.best_mask.base is None, case
+            assert got.evaluated == evaluated, case
+            assert repr(got.best_fitness) == repr(best), case
+            assert repr(got.runner_up_fitness) == repr(runner_up), case
+            ties += runner_up == best
+        if problem is tie_heavy_problem:
+            assert ties >= 10
+
+
 class TestMAAgainstOracle:
     def test_ma_reaches_certified_optimum(self):
         # Fitness, not masks: the oracle breaks ties toward fewer bits.
@@ -86,5 +124,6 @@ class TestOracleDict:
             "best_mask", "best_fitness", "evaluated", "runner_up_fitness",
         }
         named = oracle_to_dict(benchmark_oracle, benchmark_ds.feature_names)
+        assert list(named) == [f.name for f in fields(OracleResult)] + ["best_features"]
         assert all(name.endswith("!inf") for name in named["best_features"])
         assert len(named["best_features"]) == 3
