@@ -192,10 +192,10 @@ def compare(
 ) -> list[ComparisonRow]:
     """Run each optimizer across seeds and aggregate a comparison table.
 
-    kinds may contain "MA" and any of the baseline kinds. The success
-    reference is, in order of preference: the explicit reference_fitness
-    (e.g. a certified oracle optimum), else the best fitness any optimizer
-    reached in this study.
+    kinds may contain "MA" and any of the baseline kinds, each at most once.
+    The success reference is, in order of preference: the explicit
+    reference_fitness (e.g. a certified oracle optimum), else the best
+    fitness any optimizer reached in this study.
     """
     if seeds is None:
         if runs < 1:
@@ -204,6 +204,10 @@ def compare(
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise ValueError("no seeds to run")
+    kinds = list(kinds)
+    for i, kind in enumerate(kinds):
+        if kind in kinds[:i]:
+            raise ValueError(f"optimizer kind {kind!r} is repeated")
     finals: dict[str, list[float]] = {}
     times: dict[str, list[float]] = {}
     for kind in kinds:

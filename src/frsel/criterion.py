@@ -56,8 +56,8 @@ class KernelConfig:
     n_k: int = 3
 
     def __post_init__(self) -> None:
-        if not self.delta > 0:
-            raise ValueError("delta must be positive")
+        if not 0 < self.delta < np.inf:
+            raise ValueError("delta must be positive and finite")
         if self.n_k < 1:
             raise ValueError("n_k must be at least 1")
 

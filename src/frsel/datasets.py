@@ -238,10 +238,9 @@ class SynthSpec:
             raise ValueError("n_noise must be non-negative")
         if self.samples_per_class < 1:
             raise ValueError("samples_per_class must be at least 1")
-        if self.cluster_separation < 0:
-            raise ValueError("cluster_separation must be non-negative")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be non-negative")
+        for name in ("cluster_separation", "noise_std"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be non-negative and finite")
 
 
 def synth_clusters(spec: SynthSpec, seed: int) -> Dataset:

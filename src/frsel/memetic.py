@@ -60,8 +60,8 @@ class MAConfig:
     def __post_init__(self) -> None:
         if self.np < 4:
             raise ValueError("np must be at least 4 (mutation draws 3 donors)")
-        if not 0 < self.f_min <= self.f_max:
-            raise ValueError("need 0 < f_min <= f_max")
+        if not 0 < self.f_min <= self.f_max <= 1:
+            raise ValueError("need 0 < f_min <= f_max <= 1")
         if not 0 < self.cr_min <= self.cr_max <= 1:
             raise ValueError("need 0 < cr_min <= cr_max <= 1")
         for name in ("g_max", "tl", "ts_iters", "init_neighbors", "elite_count"):

@@ -33,8 +33,9 @@ def exhaustive_best(
 
     Every mask is scored first, then one stable sort selects: highest
     fitness, then smaller popcount, then smaller mask integer, so the result
-    is reproducible when distinct masks score identically. The max_n guard
-    caps the exponential sweep.
+    is reproducible when distinct masks score identically. The runner-up is
+    the next mask in that order. The max_n guard caps the exponential sweep,
+    whose mask table takes 2^N * N bytes.
     """
     n = ds.n_features
     if n > max_n:
@@ -45,7 +46,7 @@ def exhaustive_best(
     for j in range(n):
         masks[:, j] = (ints >> j) & 1
     scores = np.fromiter((engine.evaluate(m).gc for m in masks), np.float64, ints.size)
-    order = np.lexsort((masks.sum(axis=1), -scores))
+    order = np.lexsort((masks.sum(axis=1, dtype=np.uint8), -scores))
     return OracleResult(
         best_mask=masks[order[0]].copy(),
         best_fitness=float(scores[order[0]]),

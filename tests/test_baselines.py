@@ -204,6 +204,10 @@ class TestCompare:
         with pytest.raises(ValueError, match="seeds"):
             compare(small_ds, KCFG, ["GA"], seeds=[])
 
+    def test_repeated_kind_rejected(self, small_ds):
+        with pytest.raises(ValueError, match="'GA' is repeated"):
+            compare(small_ds, KCFG, ["GA", "BPSO", "GA"], runs=1)
+
     def test_csv_round_trip(self, small_ds, small_oracle):
         rows = compare(
             small_ds, KCFG, ["BDE"], runs=2,

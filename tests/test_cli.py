@@ -143,6 +143,18 @@ class TestConfigHandling:
         assert "seed must be non-negative" in capsys.readouterr().err
         assert not (tmp_path / "synth").exists() and not (tmp_path / "run").exists()
 
+    def test_non_finite_floats_rejected(self, small_csv, tmp_path, capsys):
+        for command, flag, message in (
+            ("select", "--ma.f_max=inf", "f_max <= 1"),
+            ("select", "--kernel.delta=inf", "delta must be positive and finite"),
+            ("synth", "--synth.noise_std=nan", "noise_std must be non-negative and finite"),
+            ("synth", "--synth.cluster_separation=inf", "cluster_separation must be"),
+        ):
+            rc = main([command, "--data", small_csv, "--out", str(tmp_path / "run"), flag])
+            assert rc == 1
+            assert message in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_bool_words(self, small_csv, tmp_path):
         out = tmp_path / "nonorm"
         rc = main(["select", "--data", small_csv, "--out", str(out),
@@ -279,6 +291,13 @@ class TestCompare:
         rc = main(["compare", "--data", small_csv, "--baselines.kinds=GA,SA"])
         assert rc == 1
         assert "unknown optimizer kind" in capsys.readouterr().err
+
+    def test_repeated_kind(self, small_csv, tmp_path, capsys):
+        rc = main(["compare", "--data", small_csv, "--out", str(tmp_path / "run"),
+                   "--baselines.kinds=GA,BPSO,GA"])
+        assert rc == 1
+        assert "optimizer kind 'GA' is repeated" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_nan_optimizer_settings_rejected(self, small_csv, tmp_path, capsys, monkeypatch):
         # the configs are checked before the certifying oracle runs

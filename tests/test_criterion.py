@@ -417,7 +417,8 @@ class TestBounds:
             gc(unit_gap_pair(), [0], N1)
 
     def test_kernel_config_validation(self):
-        with pytest.raises(ValueError, match="delta"):
-            KernelConfig(delta=0.0)
+        for bad in (0.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="delta must be positive and finite"):
+                KernelConfig(delta=bad)
         with pytest.raises(ValueError, match="n_k"):
             KernelConfig(n_k=0)

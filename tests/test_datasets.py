@@ -213,8 +213,10 @@ class TestSynth:
             SynthSpec(n_informative=0)
         with pytest.raises(ValueError, match="samples_per_class"):
             SynthSpec(samples_per_class=0)
-        with pytest.raises(ValueError, match="cluster_separation"):
-            SynthSpec(cluster_separation=-1.0)
+        for name in ("cluster_separation", "noise_std"):
+            for bad in (-1.0, float("inf"), float("nan")):
+                with pytest.raises(ValueError, match=f"{name} must be non-negative and finite"):
+                    SynthSpec(**{name: bad})
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=15, deadline=None)

@@ -67,6 +67,16 @@ class TestMAConfig:
         with pytest.raises(ValueError, match="cr_min"):
             MAConfig(cr_max=1.5)
 
+    def test_mutation_scale_is_a_probability(self):
+        # f_g gates each bit, so it must lie in (0, 1]; NaN or inf would
+        # reach the run log as a non-JSON NaN.
+        for bad in (float("inf"), float("nan"), 1.5):
+            with pytest.raises(ValueError, match=r"f_max <= 1"):
+                MAConfig(f_max=bad)
+        with pytest.raises(ValueError, match="f_min"):
+            MAConfig(f_min=float("nan"))
+        assert MAConfig(f_min=1.0, f_max=1.0).f_max == 1.0
+
     def test_negative_counts(self):
         for key in ("g_max", "tl", "ts_iters", "init_neighbors", "elite_count"):
             with pytest.raises(ValueError, match=key):

@@ -36,6 +36,18 @@ class TestExhaustiveBest:
         assert result.best_mask.tolist() == [1, 0]
         assert result.runner_up_fitness == result.best_fitness
 
+    def test_fewer_bits_beat_smaller_integer(self):
+        # Unnormalized width 0.1: columns 0 and 1 saturate the criterion at
+        # 1.0 only together, column 2 alone, so masks 3 (two bits) and 4
+        # (one bit) tie at the top and the one-bit mask must win.
+        ds = make_dataset([[0.0, 0.0, 0.0], [1.0, 1.0, 2.0]], [0, 1])
+        kcfg = KernelConfig(delta=0.1, per_feature_normalization=False, n_k=1)
+        result = exhaustive_best(ds, kcfg)
+        assert result.best_mask.tolist() == [0, 0, 1]
+        assert result.best_fitness == result.runner_up_fitness == 1.0
+        assert reference_exhaustive_best(ds, kcfg)[0].tolist() == [0, 0, 1]
+        assert fitness([1, 0, 0], ds, kcfg) < 1.0
+
     def test_runner_up_below_unique_best(self):
         rng = np.random.default_rng(1)
         ds = make_dataset(rng.normal(size=(12, 4)), [0] * 6 + [1] * 6)
