@@ -204,7 +204,6 @@ def compare(
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise ValueError("no seeds to run")
-    kinds = list(kinds)
     for i, kind in enumerate(kinds):
         if kind in kinds[:i]:
             raise ValueError(f"optimizer kind {kind!r} is repeated")

@@ -66,10 +66,8 @@ class TestMAConfig:
             MAConfig(cr_min=0.0)
         with pytest.raises(ValueError, match="cr_min"):
             MAConfig(cr_max=1.5)
-
-    def test_mutation_scale_is_a_probability(self):
-        # f_g gates each bit, so it must lie in (0, 1]; NaN or inf would
-        # reach the run log as a non-JSON NaN.
+        # f_g gates each bit, so it lies in (0, 1]; an infinite f_max used to
+        # write a non-JSON NaN into the run log.
         for bad in (float("inf"), float("nan"), 1.5):
             with pytest.raises(ValueError, match=r"f_max <= 1"):
                 MAConfig(f_max=bad)
