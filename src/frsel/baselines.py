@@ -179,6 +179,15 @@ class ComparisonRow:
     success_rate_pct: float
 
 
+def check_kinds(kinds) -> None:
+    """Reject an optimizer kind that is unknown or given twice, naming it."""
+    for i, kind in enumerate(kinds):
+        if kind != "MA" and kind not in BASELINE_KINDS:
+            raise ValueError(f"unknown optimizer kind {kind!r}")
+        if kind in kinds[:i]:
+            raise ValueError(f"optimizer kind {kind!r} is repeated")
+
+
 def compare(
     ds: Dataset,
     kcfg: KernelConfig,
@@ -204,9 +213,7 @@ def compare(
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise ValueError("no seeds to run")
-    for i, kind in enumerate(kinds):
-        if kind in kinds[:i]:
-            raise ValueError(f"optimizer kind {kind!r} is repeated")
+    check_kinds(kinds)
     finals: dict[str, list[float]] = {}
     times: dict[str, list[float]] = {}
     for kind in kinds:

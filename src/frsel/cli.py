@@ -20,12 +20,7 @@ from pathlib import Path
 from typing import get_type_hints
 
 from . import __version__
-from .baselines import (
-    BASELINE_KINDS,
-    BaselineConfig,
-    compare,
-    compare_csv_text,
-)
+from .baselines import BaselineConfig, check_kinds, compare, compare_csv_text
 from .criterion import (
     KernelConfig,
     hex_to_mask,
@@ -205,9 +200,7 @@ def _load_standardized(cfg):
 
 def _parse_kinds(cfg) -> list[str]:
     kinds = [k.strip() for k in str(cfg["baselines.kinds"]).split(",") if k.strip()]
-    for kind in kinds:
-        if kind != "MA" and kind not in BASELINE_KINDS:
-            raise ValueError(f"unknown optimizer kind {kind!r}")
+    check_kinds(kinds)
     return kinds
 
 
@@ -258,14 +251,16 @@ def cmd_select(cfg) -> int:
 
 
 def cmd_compare(cfg) -> int:
-    train, _ = _load_standardized(cfg)
-    kcfg = _section(cfg, "kernel")
+    # Every setting is checked before the certifying oracle runs.
     kinds = _parse_kinds(cfg)
     optimizers = ["MA"] + [k for k in kinds if k != "MA"]
-    runs = cfg["compare.runs"]
-    seeds = [cfg["seed"] + r for r in range(runs)]
+    if cfg["compare.runs"] < 1:
+        raise ValueError("compare.runs must be at least 1")
+    seeds = [cfg["seed"] + r for r in range(cfg["compare.runs"])]
+    kcfg = _section(cfg, "kernel")
     ma_config = _section(cfg, "ma", seed=cfg["seed"])
     baseline_config = _section(cfg, "baselines", seed=cfg["seed"])
+    train, _ = _load_standardized(cfg)
     reference = None
     if cfg["compare.certify"]:
         reference = exhaustive_best(train, kcfg, max_n=cfg["oracle.max_n"]).best_fitness

@@ -39,6 +39,11 @@ _STORE_BUDGET = 8_000_000
 # harness's test-to-train distances.
 _CHUNK_BUDGET = 2_000_000
 
+# Masks are scored in chunks whose flat distance rows hold at most this many
+# float64 elements (512 KB), and at least one mask. The sorted copy of one
+# class-pair block is no larger, so a chunk's temporaries stay near 1 MB.
+_MASK_CHUNK_BUDGET = 1 << 16
+
 
 @dataclass(frozen=True)
 class KernelConfig:
@@ -153,7 +158,7 @@ def mask_from_names(names, feature_names) -> np.ndarray:
     return mask
 
 
-def _effective_delta(cfg: KernelConfig, n_selected: int) -> float:
+def _effective_delta(cfg: KernelConfig, n_selected):
     return cfg.delta * n_selected if cfg.per_feature_normalization else cfg.delta
 
 
@@ -210,13 +215,6 @@ def _cross_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _smallest(block: np.ndarray, c: int) -> np.ndarray:
-    """The c smallest entries of each row of block, in ascending order."""
-    if c < block.shape[1]:
-        block = np.partition(block, c - 1, axis=1)[:, :c]
-    return np.sort(block, axis=1)
-
-
 class CriterionEngine:
     """Evaluates the criterion for many masks over one fixed dataset.
 
@@ -267,37 +265,61 @@ class CriterionEngine:
             out[flat] = (diff * diff).ravel()
         return out
 
-    def _sq_dists(self, sel: np.ndarray) -> np.ndarray:
-        """Flat cross-class squared distances over the selected columns."""
-        d2 = np.zeros(self._width, dtype=np.float64)
-        for j in sel:
-            d2 += self._feature_sq_diffs(j) if self._store is None else self._store[j]
+    def _sq_dists(self, masks: np.ndarray) -> np.ndarray:
+        """Flat cross-class squared distances of each row of an (m, N) stack,
+        adding the row's selected features one at a time in feature order."""
+        d2 = np.zeros((masks.shape[0], self._width), dtype=np.float64)
+        for mask, acc in zip(masks, d2):
+            for j in mask.nonzero()[0]:
+                acc += self._feature_sq_diffs(j) if self._store is None else self._store[j]
         return d2
+
+    def _score(self, masks: np.ndarray) -> np.ndarray:
+        """(g_gamma, g_omega, gc) of each row of a validated (M, N) stack of
+        non-empty masks, as a (3, M) array, scored in chunks of masks."""
+        out = np.empty((3, masks.shape[0]), dtype=np.float64)
+        step = max(1, _MASK_CHUNK_BUDGET // max(1, self._width))
+        denom = (self.class_ids.size - 1) * self.ds.n_samples
+        for lo in range(0, masks.shape[0], step):
+            chunk = masks[lo:lo + step]
+            m = chunk.shape[0]
+            d2 = self._sq_dists(chunk)
+            delta_eff = np.reshape(_effective_delta(self.cfg, chunk.sum(axis=1)), (-1, 1, 1))
+            gamma_total = np.zeros(m, dtype=np.float64)
+            omega_total = np.zeros(m, dtype=np.float64)
+            for size, n_out, parts in self._views:
+                c = min(self.cfg.n_k, size)
+                # The pairwise sums below depend on row order: keep sample order.
+                near = np.empty((m, n_out, c), dtype=np.float64)
+                for rows, flat, shape, transposed in parts:
+                    block = d2[:, flat].reshape(m, *shape)
+                    block = np.ascontiguousarray(block.swapaxes(1, 2) if transposed else block)
+                    block.sort(axis=2)
+                    near[:, rows] = block[:, :, :c]
+                k = np.exp(-near / delta_eff)
+                low = np.sqrt(np.maximum(0.0, 1.0 - k * k))
+                gamma_total += low.mean(axis=2).sum(axis=1)
+                omega_total += (2.0 * low - 1.0).mean(axis=2).sum(axis=1)
+            g = out[:, lo:lo + step]
+            g[0] = gamma_total / denom
+            g[1] = omega_total / denom
+            g[2] = (g[0] + g[1]) / 2.0
+        return out
+
+    def _stack(self, masks, ndim: int) -> np.ndarray:
+        stack = as_mask(masks, self.ds.n_features, ndim).reshape(-1, self.ds.n_features)
+        if not stack.any(axis=1).all():
+            raise ValueError("empty mask")
+        return stack
 
     def evaluate(self, mask) -> CriterionValue:
         """Score one non-empty mask."""
-        sel = _selected(mask, self.ds.n_features)
-        d2 = self._sq_dists(sel)
-        delta_eff = _effective_delta(self.cfg, sel.size)
-        gamma_total = 0.0
-        omega_total = 0.0
-        for size, n_out, parts in self._views:
-            c = min(self.cfg.n_k, size)
-            # The pairwise .sum() below depends on row order: keep sample order.
-            near = np.empty((n_out, c), dtype=np.float64)
-            for rows, flat, shape, transposed in parts:
-                block = d2[flat].reshape(shape)
-                near[rows] = _smallest(block.T if transposed else block, c)
-            k = np.exp(-near / delta_eff)
-            low = np.sqrt(np.maximum(0.0, 1.0 - k * k))
-            gamma_total += float(low.mean(axis=1).sum())
-            omega_total += float((2.0 * low - 1.0).mean(axis=1).sum())
-        denom = (self.class_ids.size - 1) * self.ds.n_samples
-        g_gamma = gamma_total / denom
-        g_omega = omega_total / denom
-        return CriterionValue(
-            g_gamma=g_gamma, g_omega=g_omega, gc=(g_gamma + g_omega) / 2.0
-        )
+        g_gamma, g_omega, gc = self._score(self._stack(mask, 1))[:, 0].tolist()
+        return CriterionValue(g_gamma=g_gamma, g_omega=g_omega, gc=gc)
+
+    def evaluate_many(self, masks) -> np.ndarray:
+        """gc of each row of an (M, N) stack of non-empty masks."""
+        return self._score(self._stack(masks, 2))[2]
 
 
 def g_gamma(ds: Dataset, mask, cfg: KernelConfig = KernelConfig()) -> float:

@@ -40,12 +40,11 @@ def exhaustive_best(
     n = ds.n_features
     if n > max_n:
         raise ValueError(f"N={n} exceeds max_n={max_n}")
-    engine = CriterionEngine(ds, kcfg)
     ints = np.arange(1, 1 << n, dtype=np.uint32)
     masks = np.empty((ints.size, n), dtype=np.uint8)
     for j in range(n):
         masks[:, j] = (ints >> j) & 1
-    scores = np.fromiter((engine.evaluate(m).gc for m in masks), np.float64, ints.size)
+    scores = CriterionEngine(ds, kcfg).evaluate_many(masks)
     order = np.lexsort((masks.sum(axis=1, dtype=np.uint8), -scores))
     return OracleResult(
         best_mask=masks[order[0]].copy(),

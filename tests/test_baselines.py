@@ -18,6 +18,7 @@ from frsel import (
     runlog_lines,
     synth_clusters,
 )
+from frsel import baselines
 from frsel.baselines import BASELINE_KINDS, ComparisonRow, compare_csv_text
 from frsel.criterion import CriterionEngine, popcount
 
@@ -207,6 +208,15 @@ class TestCompare:
     def test_repeated_kind_rejected(self, small_ds):
         with pytest.raises(ValueError, match="'GA' is repeated"):
             compare(small_ds, KCFG, ["GA", "BPSO", "GA"], runs=1)
+
+    def test_unknown_kind_rejected_before_any_run(self, small_ds, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("an optimizer ran before the kinds were checked")
+
+        monkeypatch.setattr(baselines, "run_ma", no_run)
+        monkeypatch.setattr(baselines, "run_baseline", no_run)
+        with pytest.raises(ValueError, match="unknown optimizer kind 'SA'"):
+            compare(small_ds, KCFG, ["MA", "GA", "SA"], runs=1)
 
     def test_csv_round_trip(self, small_ds, small_oracle):
         rows = compare(

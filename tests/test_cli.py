@@ -315,6 +315,25 @@ class TestCompare:
             assert f"{field} must" in err and "Traceback" not in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("flag, message", [
+        ("--baselines.kinds=GA,BPSO,GA", "optimizer kind 'GA' is repeated"),
+        ("--baselines.kinds=GA,SA", "unknown optimizer kind 'SA'"),
+        ("--compare.runs=0", "compare.runs must be at least 1"),
+        ("--compare.runs=-2", "compare.runs must be at least 1"),
+    ])
+    def test_bad_study_rejected_before_oracle(self, small_csv, tmp_path, capsys,
+                                              monkeypatch, flag, message):
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("oracle ran before the settings were checked")
+
+        monkeypatch.setattr(cli, "exhaustive_best", no_oracle)
+        rc = main(["compare", "--data", small_csv, "--out", str(tmp_path / "run"),
+                   "--compare.certify=true", flag])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
 
 class TestEntryPoint:
     def test_module_invocation(self):

@@ -326,6 +326,43 @@ class TestMatchesDenseEngine:
                 assert (got.g_gamma, got.g_omega, got.gc) == dense_evaluate(ds, mask, cfg)
 
 
+class TestEvaluateMany:
+    """evaluate_many gives each row of a stack the gc that evaluate and the
+    dense reference give, on both paths and whatever the chunk size: one
+    mask per chunk, 10 (the last chunk of 511 masks holds one), or all."""
+
+    @pytest.mark.parametrize("stored", [True, False], ids=["store", "per-call"])
+    @pytest.mark.parametrize("name", EDGE_CASES)
+    def test_every_mask(self, name, stored, monkeypatch):
+        ds = _edge_case(name)
+        if not stored:
+            monkeypatch.setattr(criterion, "_STORE_BUDGET", 0)
+        masks = np.array([int_to_mask(v, ds.n_features) for v in range(1, 1 << ds.n_features)])
+        for cfg in (KernelConfig(n_k=1), KernelConfig(n_k=5, per_feature_normalization=False)):
+            engine = CriterionEngine(ds, cfg)
+            assert (engine._store is not None) == stored
+            expect = [dense_evaluate(ds, mask, cfg)[2] for mask in masks]
+            assert [engine.evaluate(mask).gc for mask in masks] == expect
+            for per_chunk in (1, 10, len(masks)):
+                monkeypatch.setattr(criterion, "_MASK_CHUNK_BUDGET", per_chunk * engine._width)
+                got = engine.evaluate_many(masks)
+                assert got.dtype == np.float64 and got.shape == (len(masks),)
+                assert got.tolist() == expect
+
+    def test_stack_checks(self):
+        ds = _edge_case("grid-3")
+        engine = CriterionEngine(ds, KernelConfig())
+        empty = engine.evaluate_many(np.zeros((0, ds.n_features), dtype=np.uint8))
+        assert empty.shape == (0,) and empty.dtype == np.float64
+        ones = np.ones((2, ds.n_features), dtype=np.uint8)
+        for bad, match in ((ones[0], "2-dimensional"),
+                           (ones[:, 1:], "bits"),
+                           (2 * ones, "0 or 1"),
+                           (np.vstack([ones, np.zeros_like(ones[:1])]), "empty mask")):
+            with pytest.raises(ValueError, match=match):
+                engine.evaluate_many(bad)
+
+
 class TestInvariances:
     def test_sample_permutation(self):
         rng = np.random.default_rng(17)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset
-from frsel import KernelConfig, MAConfig, exhaustive_best, run_ma
+from frsel import KernelConfig, MAConfig, criterion, exhaustive_best, run_ma
+from frsel.criterion import CriterionEngine
 from frsel.datasets import informative_indices
 from frsel.memetic import fitness
 from frsel.oracle import OracleResult, oracle_to_dict
@@ -113,6 +114,25 @@ class TestMatchesReference:
             ties += runner_up == best
         if problem is tie_heavy_problem:
             assert ties >= 10
+
+
+class TestChunking:
+    @pytest.mark.parametrize("per_chunk", [1, 4], ids=["one-mask", "ragged"])
+    def test_same_result_for_any_chunk_size(self, per_chunk, monkeypatch):
+        # 2^N - 1 masks are never a multiple of 4 when N >= 2, so the last
+        # chunk is short.
+        cases = [tie_heavy_problem(seed) for seed in range(30)]
+        cases.append((make_dataset([[0.0], [1.0], [0.3]], [0, 1, 1]), KCFG))
+        for seed, (ds, kcfg) in enumerate(cases):
+            width = CriterionEngine(ds, kcfg)._width
+            monkeypatch.setattr(criterion, "_MASK_CHUNK_BUDGET", per_chunk * width)
+            got = exhaustive_best(ds, kcfg)
+            mask, best, evaluated, runner_up = reference_exhaustive_best(ds, kcfg)
+            case = (seed, ds.n_features)
+            assert got.best_mask.tolist() == mask.tolist(), case
+            assert got.evaluated == evaluated, case
+            assert repr(got.best_fitness) == repr(best), case
+            assert repr(got.runner_up_fitness) == repr(runner_up), case
 
 
 class TestMAAgainstOracle:
