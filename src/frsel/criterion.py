@@ -223,8 +223,10 @@ class CriterionEngine:
     direction. Construction stores each feature's squared differences when
     N * sum(|a| * |b|) float64 elements fit the budget; otherwise every
     evaluation rebuilds the selected ones. Both add them in feature order,
-    so both give the same bits. All methods are pure with respect to the
-    engine state and safe to call from several threads at once.
+    so both give the same bits. evaluate and evaluate_many share one kernel
+    that scores a stack of masks chunk by chunk, with the same arithmetic
+    for a row in any chunk. All methods are pure with respect to the engine
+    state and safe to call from several threads at once.
     """
 
     def __init__(self, ds: Dataset, cfg: KernelConfig = KernelConfig()):
@@ -274,10 +276,10 @@ class CriterionEngine:
                 acc += self._feature_sq_diffs(j) if self._store is None else self._store[j]
         return d2
 
-    def _score(self, masks: np.ndarray) -> np.ndarray:
-        """(g_gamma, g_omega, gc) of each row of a validated (M, N) stack of
-        non-empty masks, as a (3, M) array, scored in chunks of masks."""
-        out = np.empty((3, masks.shape[0]), dtype=np.float64)
+    def _score(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """g_gamma, g_omega and gc of each row of a validated (M, N) stack of
+        non-empty masks, as three arrays, scored in chunks of masks."""
+        g_gamma, g_omega, gc = (np.empty(masks.shape[0], dtype=np.float64) for _ in range(3))
         step = max(1, _MASK_CHUNK_BUDGET // max(1, self._width))
         denom = (self.class_ids.size - 1) * self.ds.n_samples
         for lo in range(0, masks.shape[0], step):
@@ -298,15 +300,18 @@ class CriterionEngine:
                     near[:, rows] = block[:, :, :c]
                 k = np.exp(-near / delta_eff)
                 low = np.sqrt(np.maximum(0.0, 1.0 - k * k))
-                gamma_total += low.mean(axis=2).sum(axis=1)
-                omega_total += (2.0 * low - 1.0).mean(axis=2).sum(axis=1)
-            g = out[:, lo:lo + step]
-            g[0] = gamma_total / denom
-            g[1] = omega_total / denom
-            g[2] = (g[0] + g[1]) / 2.0
-        return out
+                # Row means as ndarray.mean computes them: the sum, then / c.
+                gamma_total += (np.add.reduce(low, axis=2) / c).sum(axis=1)
+                omega_total += (np.add.reduce(2.0 * low - 1.0, axis=2) / c).sum(axis=1)
+            hi = lo + m
+            g_gamma[lo:hi] = gamma_total / denom
+            g_omega[lo:hi] = omega_total / denom
+            gc[lo:hi] = (g_gamma[lo:hi] + g_omega[lo:hi]) / 2.0
+        return g_gamma, g_omega, gc
 
     def _stack(self, masks, ndim: int) -> np.ndarray:
+        """A validated (M, N) stack of non-empty masks from one mask (ndim 1)
+        or a stack (ndim 2)."""
         stack = as_mask(masks, self.ds.n_features, ndim).reshape(-1, self.ds.n_features)
         if not stack.any(axis=1).all():
             raise ValueError("empty mask")
@@ -314,7 +319,7 @@ class CriterionEngine:
 
     def evaluate(self, mask) -> CriterionValue:
         """Score one non-empty mask."""
-        g_gamma, g_omega, gc = self._score(self._stack(mask, 1))[:, 0].tolist()
+        g_gamma, g_omega, gc = (float(v[0]) for v in self._score(self._stack(mask, 1)))
         return CriterionValue(g_gamma=g_gamma, g_omega=g_omega, gc=gc)
 
     def evaluate_many(self, masks) -> np.ndarray:

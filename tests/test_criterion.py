@@ -307,29 +307,11 @@ EDGE_CASES = ["grid-2", "grid-3", "grid-4", "single-sample", "duplicates",
 
 class TestMatchesDenseEngine:
     """The class-pair engine equals the dense reference bit for bit, on the
-    stored path and on the per-call path. n_k=5 exceeds the smaller classes,
-    and every mask of 9 features is scored, so sums over 8 and 9 selected
-    columns are covered too."""
-
-    @pytest.mark.parametrize("stored", [True, False], ids=["store", "per-call"])
-    @pytest.mark.parametrize("name", EDGE_CASES)
-    def test_every_mask(self, name, stored, monkeypatch):
-        ds = _edge_case(name)
-        if not stored:
-            monkeypatch.setattr(criterion, "_STORE_BUDGET", 0)
-        for cfg in (KernelConfig(n_k=1), KernelConfig(n_k=5, per_feature_normalization=False)):
-            engine = CriterionEngine(ds, cfg)
-            assert (engine._store is not None) == stored
-            for value in range(1, 1 << ds.n_features):
-                mask = int_to_mask(value, ds.n_features)
-                got = engine.evaluate(mask)
-                assert (got.g_gamma, got.g_omega, got.gc) == dense_evaluate(ds, mask, cfg)
-
-
-class TestEvaluateMany:
-    """evaluate_many gives each row of a stack the gc that evaluate and the
-    dense reference give, on both paths and whatever the chunk size: one
-    mask per chunk, 10 (the last chunk of 511 masks holds one), or all."""
+    stored path and on the per-call path, through evaluate and through
+    evaluate_many with one mask per chunk, 10 (the last chunk of 511 masks
+    holds one) or all of them. n_k=5 exceeds the smaller classes, and every
+    mask of 9 features is scored, so sums over 8 and 9 selected columns are
+    covered too."""
 
     @pytest.mark.parametrize("stored", [True, False], ids=["store", "per-call"])
     @pytest.mark.parametrize("name", EDGE_CASES)
@@ -341,14 +323,18 @@ class TestEvaluateMany:
         for cfg in (KernelConfig(n_k=1), KernelConfig(n_k=5, per_feature_normalization=False)):
             engine = CriterionEngine(ds, cfg)
             assert (engine._store is not None) == stored
-            expect = [dense_evaluate(ds, mask, cfg)[2] for mask in masks]
-            assert [engine.evaluate(mask).gc for mask in masks] == expect
+            expect = [dense_evaluate(ds, mask, cfg) for mask in masks]
+            for mask, want in zip(masks, expect):
+                got = engine.evaluate(mask)
+                assert (got.g_gamma, got.g_omega, got.gc) == want
             for per_chunk in (1, 10, len(masks)):
                 monkeypatch.setattr(criterion, "_MASK_CHUNK_BUDGET", per_chunk * engine._width)
                 got = engine.evaluate_many(masks)
-                assert got.dtype == np.float64 and got.shape == (len(masks),)
-                assert got.tolist() == expect
+                assert got.dtype == np.float64
+                assert got.tolist() == [gc for _, _, gc in expect]
 
+
+class TestEvaluateMany:
     def test_stack_checks(self):
         ds = _edge_case("grid-3")
         engine = CriterionEngine(ds, KernelConfig())
