@@ -11,6 +11,7 @@ from frsel import (
     KernelConfig,
     MAConfig,
     SynthSpec,
+    baselines,
     compare,
     exhaustive_best,
     run_baseline,
@@ -18,7 +19,6 @@ from frsel import (
     runlog_lines,
     synth_clusters,
 )
-from frsel import baselines
 from frsel.baselines import BASELINE_KINDS, ComparisonRow, compare_csv_text
 from frsel.criterion import CriterionEngine, popcount
 
