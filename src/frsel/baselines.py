@@ -192,8 +192,7 @@ def compare(
     ds: Dataset,
     kcfg: KernelConfig,
     kinds,
-    runs: int = 1,
-    seeds=None,
+    seeds,
     ma_config: MAConfig | None = None,
     baseline_config: BaselineConfig | None = None,
     reference_fitness: float | None = None,
@@ -206,10 +205,6 @@ def compare(
     reference_fitness (e.g. a certified oracle optimum), else the best
     fitness any optimizer reached in this study.
     """
-    if seeds is None:
-        if runs < 1:
-            raise ValueError("runs must be at least 1")
-        seeds = list(range(runs))
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise ValueError("no seeds to run")

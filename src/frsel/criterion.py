@@ -35,10 +35,6 @@ from .datasets import Dataset
 # precomputed and each evaluation builds its cross-class distances itself.
 _STORE_BUDGET = 8_000_000
 
-# Row-chunk size (in float64 elements of the temporary) for the k-NN
-# harness's test-to-train distances.
-_CHUNK_BUDGET = 2_000_000
-
 # Masks are scored in chunks whose flat distance rows hold at most this many
 # float64 elements (512 KB), and at least one mask. The sorted copy of one
 # class-pair block is no larger, so a chunk's temporaries stay near 1 MB.
@@ -132,13 +128,11 @@ def mask_to_hex(mask) -> str:
 
 
 def hex_to_mask(text: str, n_features: int) -> np.ndarray:
-    """Inverse of mask_to_hex for a known feature count."""
+    """Inverse of mask_to_hex for a known width: hex digits after an optional 0x."""
     cleaned = text.strip().lower().removeprefix("0x")
-    try:
-        value = int(cleaned, 16)
-    except ValueError:
-        raise ValueError(f"{text!r} is not a hex mask") from None
-    return int_to_mask(value, n_features)
+    if not cleaned or not set(cleaned) <= set("0123456789abcdef"):
+        raise ValueError(f"{text!r} is not a hex mask")
+    return int_to_mask(int(cleaned, 16), n_features)
 
 
 def mask_names(mask, feature_names) -> list[str]:
@@ -172,8 +166,7 @@ def gaussian_kernel(x, y, mask, cfg: KernelConfig = KernelConfig()) -> float:
     if x.ndim != 1 or x.shape != y.shape:
         raise ValueError(f"x and y must be 1-D of one width, got shapes {x.shape} and {y.shape}")
     sel = _selected(mask, x.size)
-    diff = x[sel] - y[sel]
-    d2 = float((diff * diff).sum())
+    d2 = float(_column_sq_dists(x[None, sel], y[None, sel])[0, 0])
     return float(np.exp(-d2 / _effective_delta(cfg, sel.size)))
 
 
@@ -194,8 +187,7 @@ def approx_memberships(
     outside = ~inside
     if not outside.any():
         raise ValueError("no outside-class samples")
-    diff = ds.samples[:, sel] - ds.samples[i, sel]
-    d2 = (diff * diff).sum(axis=1)
+    d2 = _column_sq_dists(ds.samples[:, sel], ds.samples[i:i + 1, sel])[:, 0]
     k = np.exp(-d2 / _effective_delta(cfg, sel.size))
     low = np.sqrt(np.maximum(0.0, 1.0 - k * k))
     lower_s = float((1.0 - k[outside]).min())
@@ -205,13 +197,18 @@ def approx_memberships(
     return lower_s, lower_theta, upper_t, upper_sigma
 
 
-def _cross_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared distances between the rows of a and of b, in row chunks of a."""
-    out = np.empty((a.shape[0], b.shape[0]), dtype=np.float64)
-    step = max(1, _CHUNK_BUDGET // max(1, b.shape[0] * max(1, a.shape[1])))
-    for lo in range(0, a.shape[0], step):
-        diff = a[lo:lo + step, None, :] - b[None, :, :]
-        out[lo:lo + step] = (diff * diff).sum(axis=-1)
+def _column_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(|a|, |b|) squared distances between the rows of a and of b: each
+    column's squared differences added in column order (the bits of a sum
+    from zero), through one temporary the size of the output. a and b need
+    at least one column. Every squared distance in the package forms here."""
+    out = np.subtract.outer(a[:, 0], b[:, 0])
+    out *= out
+    tmp = np.empty_like(out)
+    for j in range(1, a.shape[1]):
+        np.subtract.outer(a[:, j], b[:, j], out=tmp)
+        tmp *= tmp
+        out += tmp
     return out
 
 
@@ -260,11 +257,10 @@ class CriterionEngine:
 
     def _feature_sq_diffs(self, j: int) -> np.ndarray:
         """Flat cross-class squared differences on column j."""
-        col = self.ds.samples[:, j]
+        col = self.ds.samples[:, j:j + 1]
         out = np.empty(self._width, dtype=np.float64)
         for a, b, flat in self._pairs:
-            diff = col[self._members[a], None] - col[None, self._members[b]]
-            out[flat] = (diff * diff).ravel()
+            out[flat] = _column_sq_dists(col[self._members[a]], col[self._members[b]]).ravel()
         return out
 
     def _sq_dists(self, masks: np.ndarray) -> np.ndarray:

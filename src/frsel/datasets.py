@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +25,8 @@ class Dataset:
     """Immutable sample matrix with integer class labels and named columns.
 
     samples is float64 of shape (n_samples, n_features), labels is int64 of
-    shape (n_samples,). Construction validates shapes, finiteness, unique
-    feature names and the presence of at least two classes.
+    shape (n_samples,). Construction validates shapes, at least one feature
+    column, finiteness, unique feature names and at least two classes.
     """
 
     samples: np.ndarray
@@ -37,6 +38,8 @@ class Dataset:
         labels = np.array(self.labels, dtype=np.int64)
         if samples.ndim != 2:
             raise ValueError("samples must be a 2-D matrix")
+        if samples.shape[1] == 0:
+            raise ValueError("no feature columns: a dataset needs at least one")
         if not np.isfinite(samples).all():
             r, c = np.argwhere(~np.isfinite(samples))[0]
             raise ValueError(f"non-finite value at row {r}, column {c}")
@@ -146,8 +149,8 @@ def load_csv(path) -> Dataset:
     """Read a UTF-8 comma-separated file with a header row into a Dataset.
 
     Exactly one column must be named "label" and hold integer class ids; all
-    other columns are parsed as float64 features. Malformed cells and ragged
-    rows are reported with their file position.
+    other columns are parsed as finite float64 features. Malformed or
+    non-finite cells and ragged rows are reported with their file position.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -184,12 +187,18 @@ def load_csv(path) -> Dataset:
                         ) from None
                 else:
                     try:
-                        values.append(float(cell))
+                        value = float(cell)
                     except ValueError:
                         raise ValueError(
                             f"{path}: line {line_no}, column {header[j]!r}: "
                             f"{cell!r} is not numeric"
                         ) from None
+                    if not math.isfinite(value):
+                        raise ValueError(
+                            f"{path}: line {line_no}, column {header[j]!r}: "
+                            f"{cell!r} is not finite"
+                        )
+                    values.append(value)
             rows.append(values)
     if not rows:
         raise ValueError(f"{path}: no data rows")

@@ -8,11 +8,11 @@ does not chase benchmark accuracy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .criterion import _cross_sq_dists, _selected, popcount
+from .criterion import _column_sq_dists, _selected, popcount
 from .datasets import Dataset
 
 
@@ -77,7 +77,7 @@ def knn_predict(
     sel = _selected(mask, train.n_features)
     if train.n_samples == 0:
         raise ValueError("empty training set")
-    d2 = _cross_sq_dists(test.samples[:, sel], train.samples[:, sel])
+    d2 = _column_sq_dists(test.samples[:, sel], train.samples[:, sel])
     k_eff = min(k, train.n_samples)
     order = np.argsort(d2, axis=1, kind="stable")[:, :k_eff]
     neighbor_labels = train.labels[order]
@@ -193,17 +193,11 @@ def evaluate_subset(train: Dataset, test: Dataset, mask, k: int = 5) -> MetricsR
 
 
 def report_to_dict(report: MetricsReport) -> dict:
-    """JSON-ready form of a MetricsReport."""
-    return {
-        "a": report.a,
-        "kappa": report.kappa,
-        "auc": report.auc,
-        "eta": report.eta,
-        "dimension": report.dimension,
-        "auc_one_vs_rest": report.auc_one_vs_rest,
-        "confusion": {
-            "class_ids": list(report.confusion.class_ids),
-            "counts": report.confusion.counts.tolist(),
-        },
+    """JSON-ready form of a MetricsReport: its fields in declaration order,
+    then confusion, built from the ConfusionMatrix fields."""
+    out = {f.name: getattr(report, f.name) for f in fields(report) if f.name != "confusion"}
+    out["confusion"] = {
+        f.name: np.asarray(getattr(report.confusion, f.name)).tolist()
+        for f in fields(report.confusion)
     }
-
+    return out

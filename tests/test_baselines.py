@@ -168,7 +168,7 @@ class TestCompare:
         ma_cfg = MAConfig(np=10, g_max=15, tl=5, ts_iters=10, fitness_stop=2.0)
         base_cfg = BaselineConfig(np=20, g_max=30, fitness_stop=2.0)
         rows = compare(
-            small_ds, KCFG, ["MA", "GA", "BPSO", "BDE"], runs=1,
+            small_ds, KCFG, ["MA", "GA", "BPSO", "BDE"], seeds=[0],
             ma_config=ma_cfg, baseline_config=base_cfg,
             reference_fitness=small_oracle.best_fitness,
         )
@@ -200,14 +200,12 @@ class TestCompare:
         assert rows[1].success_rate_pct == 0.0
 
     def test_empty_inputs_rejected(self, small_ds):
-        with pytest.raises(ValueError, match="runs"):
-            compare(small_ds, KCFG, ["GA"], runs=0)
         with pytest.raises(ValueError, match="seeds"):
             compare(small_ds, KCFG, ["GA"], seeds=[])
 
     def test_repeated_kind_rejected(self, small_ds):
         with pytest.raises(ValueError, match="'GA' is repeated"):
-            compare(small_ds, KCFG, ["GA", "BPSO", "GA"], runs=1)
+            compare(small_ds, KCFG, ["GA", "BPSO", "GA"], seeds=[0])
 
     def test_unknown_kind_rejected_before_any_run(self, small_ds, monkeypatch):
         def no_run(*args, **kwargs):
@@ -216,11 +214,11 @@ class TestCompare:
         monkeypatch.setattr(baselines, "run_ma", no_run)
         monkeypatch.setattr(baselines, "run_baseline", no_run)
         with pytest.raises(ValueError, match="unknown optimizer kind 'SA'"):
-            compare(small_ds, KCFG, ["MA", "GA", "SA"], runs=1)
+            compare(small_ds, KCFG, ["MA", "GA", "SA"], seeds=[0])
 
     def test_csv_round_trip(self, small_ds, small_oracle):
         rows = compare(
-            small_ds, KCFG, ["BDE"], runs=2,
+            small_ds, KCFG, ["BDE"], seeds=[0, 1],
             baseline_config=BaselineConfig(np=8, g_max=4),
         )
         text = compare_csv_text(rows)

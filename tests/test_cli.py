@@ -91,6 +91,15 @@ class TestSelect:
         assert rc == 1
         assert gone in capsys.readouterr().err
 
+    def test_label_only_file(self, tmp_path, capsys):
+        path = tmp_path / "labels.csv"
+        path.write_text("label\n" + "1\n-1\n" * 4)
+        for command in ("select", "oracle"):
+            rc = main([command, "--data", str(path), "--out", str(tmp_path / "run")])
+            assert rc == 1
+            assert "no feature columns" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
 
 class TestConfigHandling:
     def test_file_then_flag_precedence(self, small_csv, tmp_path):

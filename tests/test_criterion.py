@@ -9,7 +9,7 @@ from conftest import make_dataset
 from frsel import KernelConfig, criterion, gc
 from frsel.criterion import (
     CriterionEngine,
-    _cross_sq_dists,
+    _column_sq_dists,
     approx_memberships,
     as_mask,
     g_gamma,
@@ -23,6 +23,7 @@ from frsel.criterion import (
     mask_to_int,
     popcount,
 )
+from frsel.evaluation import knn_predict
 from frsel.memetic import FitnessCache
 from reference import dense_evaluate, find_neighbors, random_grid_case, reference_criterion
 
@@ -69,6 +70,11 @@ class TestMaskHelpers:
         text = mask_to_hex(mask)
         assert text == "0d"
         assert np.array_equal(hex_to_mask(text, 5), mask)
+        assert np.array_equal(hex_to_mask(" 0X0D ", 5), mask)
+        # int(text, 16) reads the first three as 0x11, 0x10 and 0x0d.
+        for bad in ("1_1", "\u0661\u0660", "+d", "", "0x"):
+            with pytest.raises(ValueError, match="is not a hex mask"):
+                hex_to_mask(bad, 5)
 
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=40))
     @settings(max_examples=60, deadline=None)
@@ -383,16 +389,47 @@ class TestInvariances:
                 mask[0] = 1
             assert stacked.evaluate(mask) == direct.evaluate(mask)
 
-    def test_chunked_distances_equal_one_chunk(self, monkeypatch):
+    def test_one_column_order_distance_rule(self, monkeypatch):
+        # Every squared distance adds its selected columns' squared
+        # differences in column order from zero, as reference_criterion does.
+        # numpy's pairwise sum along a contiguous axis groups 8 or more terms
+        # differently, so the direct check feeds C-ordered rows.
         rng = np.random.default_rng(5)
-        a = rng.normal(size=(23, 4))
-        b = rng.normal(size=(17, 4))
-        whole_aa = _cross_sq_dists(a, a)
-        whole_ab = _cross_sq_dists(a, b)
-        # Splits a into chunks of 3 rows against itself and 4 rows against b.
-        monkeypatch.setattr(criterion, "_CHUNK_BUDGET", 3 * 23 * 4)
-        assert np.array_equal(_cross_sq_dists(a, a), whole_aa)
-        assert np.array_equal(_cross_sq_dists(a, b), whole_ab)
+        a = rng.normal(size=(20, 14))
+        b = rng.normal(size=(15, 14))
+        mask = np.ones(14, dtype=np.uint8)
+        mask[[3, 9]] = 0
+        sel = mask.nonzero()[0].tolist()
+
+        def column_order(x, y):
+            total = 0.0
+            for f in sel:
+                diff = x[f] - y[f]
+                total += diff * diff
+            return total
+
+        expected = np.array([[column_order(x, y) for y in b.tolist()] for x in a.tolist()])
+        rows_a, rows_b = np.ascontiguousarray(a[:, sel]), np.ascontiguousarray(b[:, sel])
+        assert np.array_equal(_column_sq_dists(rows_a, rows_b), expected)
+
+        seen = []
+        argsort = np.argsort
+
+        def spy(values, *args, **kwargs):
+            seen.append(np.array(values))
+            return argsort(values, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", spy)
+        train = make_dataset(b, np.arange(15) % 2)
+        test = make_dataset(a, np.arange(20) % 2)
+        knn_predict(train, test, mask)
+        monkeypatch.undo()
+        assert any(v.shape == expected.shape and np.array_equal(v, expected) for v in seen)
+
+        cfg = KernelConfig(delta=0.7)
+        for x, y, d2 in zip(a, b, np.diagonal(expected)):
+            want = float(np.exp(-d2 / (cfg.delta * len(sel))))
+            assert gaussian_kernel(x, y, mask, cfg) == want
 
     def test_monotone_in_separation(self):
         offsets = np.linspace(-0.1, 0.1, 4)

@@ -29,6 +29,10 @@ class TestDataset:
         with pytest.raises(ValueError, match="non-finite"):
             make_dataset([[0.0], [np.nan]], [1, -1])
 
+    def test_rejects_zero_feature_columns(self):
+        with pytest.raises(ValueError, match="no feature columns"):
+            Dataset(samples=np.empty((2, 0)), labels=[1, -1], feature_names=())
+
     def test_rejects_label_length_mismatch(self):
         with pytest.raises(ValueError, match="labels"):
             make_dataset([[0.0], [1.0]], [1, -1, 1])
@@ -157,6 +161,20 @@ class TestCsv:
         path = tmp_path / "t.csv"
         path.write_text("a,b,label\n1.0,oops,1\n2.0,3.0,-1\n")
         with pytest.raises(ValueError, match="'b'.*'oops'"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_reports_position(self, tmp_path, cell):
+        path = tmp_path / "d.csv"
+        path.write_text(f"a,b,label\n1.0,2.0,1\n3.0,{cell},-1\n")
+        with pytest.raises(ValueError) as err:
+            load_csv(path)
+        assert str(err.value) == f"{path}: line 3, column 'b': {cell!r} is not finite"
+
+    def test_label_only_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("label\n1\n-1\n")
+        with pytest.raises(ValueError, match="no feature columns"):
             load_csv(path)
 
     def test_single_class_file(self, tmp_path):
