@@ -37,7 +37,10 @@ _STORE_BUDGET = 8_000_000
 
 # Masks are scored in chunks whose flat distance rows hold at most this many
 # float64 elements (512 KB), and at least one mask. The sorted copy of one
-# class-pair block is no larger, so a chunk's temporaries stay near 1 MB.
+# class-pair block is no larger. The same budget bounds a stack's prefix
+# checkpoints (budget // width rows, none when one row is wider) and, at a
+# quarter, the neighbours of one tail batch (at least one chunk), so the
+# kernel's buffers stay near 2 MB.
 _MASK_CHUNK_BUDGET = 1 << 16
 
 
@@ -212,6 +215,16 @@ def _column_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _shared_prefix(a: list[int], b: list[int]) -> int:
+    """Length of the common prefix of two lists."""
+    n = 0
+    for x, y in zip(a, b):
+        if x != y:
+            break
+        n += 1
+    return n
+
+
 class CriterionEngine:
     """Evaluates the criterion for many masks over one fixed dataset.
 
@@ -221,9 +234,10 @@ class CriterionEngine:
     N * sum(|a| * |b|) float64 elements fit the budget; otherwise every
     evaluation rebuilds the selected ones. Both add them in feature order,
     so both give the same bits. evaluate and evaluate_many share one kernel
-    that scores a stack of masks chunk by chunk, with the same arithmetic
-    for a row in any chunk. All methods are pure with respect to the engine
-    state and safe to call from several threads at once.
+    that scores a stack of masks chunk by chunk, continuing exact partial
+    sums from row to row, with the same arithmetic for a row in any chunk
+    and at any place in the stack. All methods are pure with respect to the
+    engine state and safe to call from several threads at once.
     """
 
     def __init__(self, ds: Dataset, cfg: KernelConfig = KernelConfig()):
@@ -238,8 +252,9 @@ class CriterionEngine:
             for b in range(a + 1, len(sizes)):
                 self._pairs.append((a, b, slice(self._width, self._width + sizes[a] * sizes[b])))
                 self._width += sizes[a] * sizes[b]
-        # Per class d, for each pair (a, b) that holds it: the rows of d's
-        # outsiders, in sample order, that the other class fills.
+        # Per class d: its outsider count, the neighbours kept per outsider,
+        # and for each pair (a, b) that holds d, the rows of d's outsiders,
+        # in sample order, that the other class fills.
         self._views = []
         for d, members in enumerate(self._members):
             outsiders = np.flatnonzero(ds.labels != self.class_ids[d])
@@ -247,8 +262,11 @@ class CriterionEngine:
             for a, b, flat in self._pairs:
                 if d in (a, b):
                     rows = np.searchsorted(outsiders, self._members[b if d == a else a])
+                    if rows[-1] - rows[0] == rows.size - 1:  # a run: fill it as a slice
+                        rows = slice(rows[0], rows[-1] + 1)
                     parts.append((rows, flat, (sizes[a], sizes[b]), d == a))
-            self._views.append((members.size, outsiders.size, parts))
+            self._views.append((outsiders.size, min(cfg.n_k, members.size), parts))
+        self._near_per_mask = sum(n_out * c for n_out, c, _ in self._views)
         self._store: np.ndarray | None = None
         if ds.n_features * self._width <= _STORE_BUDGET:
             self._store = np.empty((ds.n_features, self._width), dtype=np.float64)
@@ -263,46 +281,104 @@ class CriterionEngine:
             out[flat] = _column_sq_dists(col[self._members[a]], col[self._members[b]]).ravel()
         return out
 
-    def _sq_dists(self, masks: np.ndarray) -> np.ndarray:
-        """Flat cross-class squared distances of each row of an (m, N) stack,
-        adding the row's selected features one at a time in feature order."""
-        d2 = np.zeros((masks.shape[0], self._width), dtype=np.float64)
-        for mask, acc in zip(masks, d2):
-            for j in mask.nonzero()[0]:
-                acc += self._feature_sq_diffs(j) if self._store is None else self._store[j]
-        return d2
+    def _sq_dists(self, sels: list[list[int]], out: np.ndarray, saved: np.ndarray,
+                  depths: list[int]) -> None:
+        """Flat cross-class squared distances of rows with the selected
+        features sels, written to out, each adding its features one at a time
+        in order. sels may hold one row past out: the row scored next.
+
+        Rows whose first s selected features agree share the partial sum of
+        those s features bit for bit, so a row continues the deepest one at
+        hand. depths lists, shallowest first, the depth of each checkpoint
+        held in the same row of saved, every one a prefix of the current row.
+        A row starts from the deepest, saves its own partial sum at the depth
+        it shares with the next row while saved has a free row, then drops
+        the checkpoints deeper than that depth.
+        """
+        for i, acc in enumerate(out):
+            sel = sels[i]
+            depth = depths[-1] if depths else 0
+            keep = _shared_prefix(sel, sels[i + 1]) if i + 1 < len(sels) else 0
+            start = saved[len(depths) - 1] if depth else None
+            if depth == len(sel):  # a repeated row
+                acc[...] = start
+            for k in range(depth, len(sel)):
+                row = self._feature_sq_diffs(sel[k]) if self._store is None else self._store[sel[k]]
+                if start is None:
+                    acc[...] = row  # 0.0 + x == x: the bits of a sum from zero
+                else:
+                    np.add(start, row, out=acc)
+                start = acc
+                if k + 1 == keep and len(depths) < saved.shape[0]:
+                    saved[len(depths)] = acc
+                    depths.append(keep)
+            while depths and depths[-1] > keep:
+                depths.pop()
 
     def _score(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """g_gamma, g_omega and gc of each row of a validated (M, N) stack of
-        non-empty masks, as three arrays, scored in chunks of masks."""
-        g_gamma, g_omega, gc = (np.empty(masks.shape[0], dtype=np.float64) for _ in range(3))
-        step = max(1, _MASK_CHUNK_BUDGET // max(1, self._width))
+        non-empty masks, as three arrays.
+
+        A stack of more than one row is scored in lexicographic order, feature
+        0 most significant, so that neighbouring rows share low-feature
+        prefixes for _sq_dists to continue; the scores are written back in
+        the caller's order. Distances form in chunks of masks, each chunk's
+        sorted neighbours go into a tail batch of whole chunks, and the
+        exp/sqrt/mean tail runs once per batch. _MASK_CHUNK_BUDGET bounds a
+        chunk's distances, the checkpoints and, at a quarter, a batch's
+        neighbours; a stack of one row keeps no checkpoint.
+        """
+        n_masks = masks.shape[0]
+        # Sorted before the outputs exist, so its transient peak stays apart.
+        order = np.lexsort(masks.T[::-1]) if n_masks > 1 else None
+        g_gamma, g_omega, gc = (np.empty(n_masks, dtype=np.float64) for _ in range(3))
+        width = max(1, self._width)
+        step = max(1, _MASK_CHUNK_BUDGET // width)
+        per_batch = max(1, _MASK_CHUNK_BUDGET // 4 // (step * self._near_per_mask))
+        batch = max(1, min(n_masks, step * per_batch))
+        d2 = np.empty((min(step, n_masks), self._width), dtype=np.float64)
+        saved = np.empty((_MASK_CHUNK_BUDGET // width if order is not None else 0, self._width),
+                         dtype=np.float64)
+        depths: list[int] = []
+        nears = [np.empty((batch, n_out, c), dtype=np.float64) for n_out, c, _ in self._views]
         denom = (self.class_ids.size - 1) * self.ds.n_samples
-        for lo in range(0, masks.shape[0], step):
-            chunk = masks[lo:lo + step]
-            m = chunk.shape[0]
-            d2 = self._sq_dists(chunk)
-            delta_eff = np.reshape(_effective_delta(self.cfg, chunk.sum(axis=1)), (-1, 1, 1))
+        for lo in range(0, n_masks, batch):
+            hi = min(lo + batch, n_masks)
+            m = hi - lo
+            if order is None:
+                rows, part = slice(lo, hi), masks[lo:hi]
+            else:
+                # One row past the batch, for the depth the last row shares.
+                rows, part = order[lo:hi], masks[order[lo:hi + 1]]
+            sels = [mask.nonzero()[0].tolist() for mask in part]
+            for clo in range(0, m, step):
+                chunk = d2[:min(step, m - clo)]
+                cm = chunk.shape[0]
+                self._sq_dists(sels[clo:clo + cm + 1], chunk, saved, depths)
+                for (_, c, parts), near in zip(self._views, nears):
+                    # The pairwise sums below depend on row order: keep sample order.
+                    for where, flat, shape, transposed in parts:
+                        # An untransposed block may be sorted in place in the
+                        # chunk: the lower class's view read its pair first.
+                        block = chunk[:, flat].reshape(cm, *shape)
+                        block = np.ascontiguousarray(block.swapaxes(1, 2) if transposed else block)
+                        block.sort(axis=2)
+                        near[clo:clo + cm, where] = block[:, :, :c]
+            delta_eff = np.reshape(_effective_delta(self.cfg, part[:m].sum(axis=1)), (-1, 1, 1))
             gamma_total = np.zeros(m, dtype=np.float64)
             omega_total = np.zeros(m, dtype=np.float64)
-            for size, n_out, parts in self._views:
-                c = min(self.cfg.n_k, size)
-                # The pairwise sums below depend on row order: keep sample order.
-                near = np.empty((m, n_out, c), dtype=np.float64)
-                for rows, flat, shape, transposed in parts:
-                    block = d2[:, flat].reshape(m, *shape)
-                    block = np.ascontiguousarray(block.swapaxes(1, 2) if transposed else block)
-                    block.sort(axis=2)
-                    near[:, rows] = block[:, :, :c]
-                k = np.exp(-near / delta_eff)
+            for near in nears:
+                c = near.shape[2]
+                k = np.exp(-near[:m] / delta_eff)
                 low = np.sqrt(np.maximum(0.0, 1.0 - k * k))
                 # Row means as ndarray.mean computes them: the sum, then / c.
                 gamma_total += (np.add.reduce(low, axis=2) / c).sum(axis=1)
                 omega_total += (np.add.reduce(2.0 * low - 1.0, axis=2) / c).sum(axis=1)
-            hi = lo + m
-            g_gamma[lo:hi] = gamma_total / denom
-            g_omega[lo:hi] = omega_total / denom
-            gc[lo:hi] = (g_gamma[lo:hi] + g_omega[lo:hi]) / 2.0
+            gamma_total /= denom
+            omega_total /= denom
+            g_gamma[rows] = gamma_total
+            g_omega[rows] = omega_total
+            gc[rows] = (gamma_total + omega_total) / 2.0
         return g_gamma, g_omega, gc
 
     def _stack(self, masks, ndim: int) -> np.ndarray:

@@ -145,6 +145,15 @@ def split(ds: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Datas
     )
 
 
+def _plain(cell: str) -> str:
+    """The cell itself, if it is ASCII without "_": int() and float() also
+    read "_" digit separators and non-ASCII digits, which a CSV cell is not
+    meant to hold. Raises ValueError otherwise."""
+    if not cell.isascii() or "_" in cell:
+        raise ValueError(cell)
+    return cell
+
+
 def load_csv(path) -> Dataset:
     """Read a UTF-8 comma-separated file with a header row into a Dataset.
 
@@ -179,7 +188,7 @@ def load_csv(path) -> Dataset:
             for j, cell in enumerate(cells):
                 if j == label_pos:
                     try:
-                        labels.append(int(cell))
+                        labels.append(int(_plain(cell)))
                     except ValueError:
                         raise ValueError(
                             f"{path}: line {line_no}, column {header[j]!r}: "
@@ -187,7 +196,7 @@ def load_csv(path) -> Dataset:
                         ) from None
                 else:
                     try:
-                        value = float(cell)
+                        value = float(_plain(cell))
                     except ValueError:
                         raise ValueError(
                             f"{path}: line {line_no}, column {header[j]!r}: "

@@ -289,10 +289,11 @@ def _edge_case(name):
     rng = np.random.default_rng(sum(map(ord, name)))
     if name == "two-samples":
         return make_dataset(rng.integers(-3, 4, size=(2, 9)) / 10.0, [0, 1])
-    n_classes = {"grid-2": 2, "grid-4": 4}.get(name, 3)
-    labels = np.arange(30) % n_classes
+    n_classes = {"grid-2": 2, "grid-4": 4, "wide-2": 2}.get(name, 3)
+    n_samples = 48 if name == "wide-2" else 30
+    labels = np.arange(n_samples) % n_classes
     rng.shuffle(labels)
-    samples = rng.integers(-3, 4, size=(30, 9)) / 10.0
+    samples = rng.integers(-3, 4, size=(n_samples, 9)) / 10.0
     if name == "single-sample":
         labels = np.array([0, 1] + [2] * 28)
     elif name == "duplicates":
@@ -307,17 +308,23 @@ def _edge_case(name):
     return make_dataset(samples, labels)
 
 
+# wide-2 has two classes of 24, so at n_k=1 a mask's 576 distances keep 48
+# neighbours, few enough that a tail batch holds several chunks.
 EDGE_CASES = ["grid-2", "grid-3", "grid-4", "single-sample", "duplicates",
-              "constant-columns", "two-samples"]
+              "constant-columns", "two-samples", "wide-2"]
 
 
 class TestMatchesDenseEngine:
     """The class-pair engine equals the dense reference bit for bit, on the
     stored path and on the per-call path, through evaluate and through
-    evaluate_many with one mask per chunk, 10 (the last chunk of 511 masks
-    holds one) or all of them. n_k=5 exceeds the smaller classes, and every
-    mask of 9 features is scored, so sums over 8 and 9 selected columns are
-    covered too."""
+    evaluate_many. evaluate_many runs with a chunk budget below one width
+    (one mask per chunk, no checkpoint kept), with one mask per chunk, 10
+    (the last chunk of 511 masks holds one) or all of them. On wide-2 at
+    n_k=1 a tail batch holds 2 or 3 chunks and the last one is short. It
+    scores the stack in order, shuffled with some rows repeated, and
+    reversed, and each row must get its own score.
+    n_k=5 exceeds the smaller classes, and every mask of 9 features is
+    scored, so sums over 8 and 9 selected columns are covered too."""
 
     @pytest.mark.parametrize("stored", [True, False], ids=["store", "per-call"])
     @pytest.mark.parametrize("name", EDGE_CASES)
@@ -326,6 +333,10 @@ class TestMatchesDenseEngine:
         if not stored:
             monkeypatch.setattr(criterion, "_STORE_BUDGET", 0)
         masks = np.array([int_to_mask(v, ds.n_features) for v in range(1, 1 << ds.n_features)])
+        rng = np.random.default_rng(3)
+        everything = np.arange(len(masks))
+        repeats = rng.permutation(np.concatenate([everything, rng.choice(everything, 40)]))
+        orders = [everything, repeats, everything[::-1]]
         for cfg in (KernelConfig(n_k=1), KernelConfig(n_k=5, per_feature_normalization=False)):
             engine = CriterionEngine(ds, cfg)
             assert (engine._store is not None) == stored
@@ -333,11 +344,14 @@ class TestMatchesDenseEngine:
             for mask, want in zip(masks, expect):
                 got = engine.evaluate(mask)
                 assert (got.g_gamma, got.g_omega, got.gc) == want
-            for per_chunk in (1, 10, len(masks)):
-                monkeypatch.setattr(criterion, "_MASK_CHUNK_BUDGET", per_chunk * engine._width)
-                got = engine.evaluate_many(masks)
-                assert got.dtype == np.float64
-                assert got.tolist() == [gc for _, _, gc in expect]
+            want = np.array([gc for _, _, gc in expect])
+            budgets = [per_chunk * engine._width for per_chunk in (1, 10, len(masks))]
+            for budget in [engine._width - 1] + budgets:
+                monkeypatch.setattr(criterion, "_MASK_CHUNK_BUDGET", budget)
+                for rows in orders:
+                    got = engine.evaluate_many(masks[rows])
+                    assert got.dtype == np.float64
+                    assert got.tolist() == want[rows].tolist()
 
 
 class TestEvaluateMany:

@@ -171,6 +171,21 @@ class TestCsv:
             load_csv(path)
         assert str(err.value) == f"{path}: line 3, column 'b': {cell!r} is not finite"
 
+    @pytest.mark.parametrize("column, cell, message", [
+        ("b", "1_000", "is not numeric"),
+        ("b", "\uff13", "is not numeric"),  # full-width digit three
+        ("label", "1_0", "is not an integer label"),
+        ("label", "\u0661", "is not an integer label"),  # Arabic-Indic digit one
+    ])
+    def test_separator_or_non_ascii_digit_rejected(self, tmp_path, column, cell, message):
+        row = {"a": "3.0", "b": "4.0", "label": "-1"} | {column: cell}
+        path = tmp_path / "d.csv"
+        path.write_text(f"a,b,label\n1.0,2.0,1\n{row['a']},{row['b']},{row['label']}\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            load_csv(path)
+        assert str(err.value) == f"{path}: line 3, column {column!r}: {cell!r} {message}"
+
     def test_label_only_file(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("label\n1\n-1\n")

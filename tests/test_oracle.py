@@ -117,15 +117,16 @@ class TestMatchesReference:
 
 
 class TestChunking:
-    @pytest.mark.parametrize("per_chunk", [1, 4], ids=["one-mask", "ragged"])
-    def test_same_result_for_any_chunk_size(self, per_chunk, monkeypatch):
+    @pytest.mark.parametrize("per_chunk, less", [(1, 0), (4, 0), (1, 1)],
+                             ids=["one-mask", "ragged", "no-checkpoint"])
+    def test_same_result_for_any_chunk_size(self, per_chunk, less, monkeypatch):
         # 2^N - 1 masks are never a multiple of 4 when N >= 2, so the last
-        # chunk is short.
+        # chunk is short. A budget below one width keeps no checkpoint.
         cases = [tie_heavy_problem(seed) for seed in range(30)]
         cases.append((make_dataset([[0.0], [1.0], [0.3]], [0, 1, 1]), KCFG))
         for seed, (ds, kcfg) in enumerate(cases):
             width = CriterionEngine(ds, kcfg)._width
-            monkeypatch.setattr(criterion, "_MASK_CHUNK_BUDGET", per_chunk * width)
+            monkeypatch.setattr(criterion, "_MASK_CHUNK_BUDGET", per_chunk * width - less)
             got = exhaustive_best(ds, kcfg)
             mask, best, evaluated, runner_up = reference_exhaustive_best(ds, kcfg)
             case = (seed, ds.n_features)
