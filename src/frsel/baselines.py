@@ -41,6 +41,16 @@ BASELINE_KINDS = ("GA", "BPSO", "BDE")
 BDE_F = 0.65
 BDE_CR = 0.55
 
+# GA: chance that a child is a uniform crossover, and per-bit flip chance.
+GA_CROSSOVER = 0.85
+GA_MUTATION = 0.01
+
+# BPSO: cognitive and social weights, inertia, and the velocity clamp.
+PSO_C1 = 2.0
+PSO_C2 = 2.0
+PSO_INERTIA = 1.0
+PSO_VMAX = 4.0
+
 # A run's final fitness counts as a success when it comes within this
 # distance of the study's reference optimum.
 SUCCESS_TOLERANCE = 1e-9
@@ -53,12 +63,6 @@ class BaselineConfig:
     kind: str = "BDE"
     np: int = 80
     g_max: int = 300
-    ga_crossover: float = 0.85
-    ga_mutation: float = 0.01
-    pso_c1: float = 2.0
-    pso_c2: float = 2.0
-    pso_inertia: float = 1.0
-    pso_vmax: float = 4.0
     fitness_stop: float = 0.9950
     seed: int = 0
 
@@ -70,15 +74,6 @@ class BaselineConfig:
             raise ValueError(f"np must be at least {minimum} for {self.kind}")
         if self.g_max < 0:
             raise ValueError("g_max must be non-negative")
-        for name in ("ga_crossover", "ga_mutation"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
-        for name in ("pso_c1", "pso_c2", "pso_inertia", "pso_vmax"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.pso_vmax <= 0:
-            raise ValueError("pso_vmax must be positive")
         if np.isnan(self.fitness_stop):
             raise ValueError("fitness_stop must not be NaN")
 
@@ -88,16 +83,16 @@ def _ga_step(cfg: BaselineConfig, state, cache, rng):
 
     Each of the np - 1 children has two parents, each the fitter (first on
     ties) of a random pair, and is their uniform crossover with probability
-    ga_crossover, else a copy of the first parent, then bit-flip mutated.
+    GA_CROSSOVER, else a copy of the first parent, then bit-flip mutated.
     """
     pop, fits = state
     n_children = cfg.np - 1
     pairs = rng.integers(fits.size, size=(2, 2, n_children))
     a, b = np.where(fits[pairs[:, 0]] >= fits[pairs[:, 1]], pairs[:, 0], pairs[:, 1])
-    crossed = rng.random(n_children) < cfg.ga_crossover
+    crossed = rng.random(n_children) < GA_CROSSOVER
     from_b = crossed[:, None] & (rng.random((n_children, pop.shape[1])) < 0.5)
     children = np.where(from_b, pop[b], pop[a])
-    children ^= (rng.random(children.shape) < cfg.ga_mutation).astype(np.uint8)
+    children ^= (rng.random(children.shape) < GA_MUTATION).astype(np.uint8)
     repair_empty(children, rng)
     pop = np.vstack([pop[int(np.argmax(fits))][None], children])
     fits = np.asarray(cache.batch(pop))
@@ -121,11 +116,11 @@ def _bpso_step(cfg: BaselineConfig, state, cache, rng):
     u1 = rng.random(pos.shape)
     u2 = rng.random(pos.shape)
     vel = (
-        cfg.pso_inertia * vel
-        + cfg.pso_c1 * u1 * (pbest - here)
-        + cfg.pso_c2 * u2 * (gbest - here)
+        PSO_INERTIA * vel
+        + PSO_C1 * u1 * (pbest - here)
+        + PSO_C2 * u2 * (gbest - here)
     )
-    np.clip(vel, -cfg.pso_vmax, cfg.pso_vmax, out=vel)
+    np.clip(vel, -PSO_VMAX, PSO_VMAX, out=vel)
     transfer = 1.0 / (1.0 + np.exp(-vel))
     pos = repair_empty((rng.random(pos.shape) < transfer).astype(np.uint8), rng)
     fits = np.asarray(cache.batch(pos))
@@ -158,13 +153,11 @@ def run_baseline(
             cr_min=BDE_CR,
             cr_max=BDE_CR,
             init_neighbors=0,
-            elite_count=0,
+            ts_iters=0,
             fitness_stop=cfg.fitness_stop,
             seed=cfg.seed,
         )
         return run_ma(ds, kcfg, bde, workers=workers)
-    if cfg.kind not in _STEPS:
-        raise ValueError(f"kind must be one of {BASELINE_KINDS}, got {cfg.kind!r}")
     return _drive(ds, kcfg, cfg, workers, *_STEPS[cfg.kind])
 
 

@@ -148,10 +148,6 @@ def build_config(args, extra_tokens: list[str]) -> dict[str, object]:
             if key not in DEFAULTS:
                 raise ValueError(f"unknown config key {key!r}")
             cfg[key] = _coerce(key, value)
-    for key in ("data", "seed", "out", "workers"):
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg[key] = _coerce(key, value)
     for key, value in _parse_overrides(extra_tokens).items():
         cfg[key] = _coerce(key, value)
     for key in ("seed", "workers"):
@@ -326,6 +322,14 @@ _COMMANDS = {
 }
 
 
+_KEYS_HELP = (
+    "Every config key is also a flag, --key=value or --key value: --data "
+    "(input CSV, header row, one 'label' column), --seed (base RNG seed), "
+    "--out (output directory, default: current), --workers (max concurrent "
+    "fitness evaluations), and dotted keys such as --ma.np=40."
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="frsel",
@@ -341,12 +345,8 @@ def _build_parser() -> argparse.ArgumentParser:
         ("synth", "generate a synthetic benchmark CSV"),
         ("evaluate", "score a given mask with the k-NN harness"),
     ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--data", help="input CSV (header row, one 'label' column)")
+        p = sub.add_parser(name, help=help_text, description=_KEYS_HELP, allow_abbrev=False)
         p.add_argument("--config", help="JSON config file with flat dotted keys")
-        p.add_argument("--seed", help="base RNG seed")
-        p.add_argument("--out", help="output directory (default: current)")
-        p.add_argument("--workers", help="max concurrent fitness evaluations")
     return parser
 
 

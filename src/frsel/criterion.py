@@ -315,30 +315,25 @@ class CriterionEngine:
             while depths and depths[-1] > keep:
                 depths.pop()
 
-    def _score(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """g_gamma, g_omega and gc of each row of a validated (M, N) stack of
-        non-empty masks, as three arrays.
+    def _score(self, masks: np.ndarray, order: np.ndarray | None):
+        """Yield (rows, g_gamma, g_omega) for each batch of a validated (M, N)
+        stack of non-empty masks: the batch's positions in the stack, and
+        their two scores as fresh arrays.
 
-        A stack of more than one row is scored in lexicographic order, feature
-        0 most significant, so that neighbouring rows share low-feature
-        prefixes for _sq_dists to continue; the scores are written back in
-        the caller's order. Distances form in chunks of masks, each chunk's
+        order is the order to score the rows in, or None for stack order
+        with no checkpoints. Distances form in chunks of masks, each chunk's
         sorted neighbours go into a tail batch of whole chunks, and the
         exp/sqrt/mean tail runs once per batch. _MASK_CHUNK_BUDGET bounds a
         chunk's distances, the checkpoints and, at a quarter, a batch's
-        neighbours; a stack of one row keeps no checkpoint.
+        neighbours.
         """
         n_masks = masks.shape[0]
-        # Sorted before the outputs exist, so its transient peak stays apart.
-        order = np.lexsort(masks.T[::-1]) if n_masks > 1 else None
-        g_gamma, g_omega, gc = (np.empty(n_masks, dtype=np.float64) for _ in range(3))
-        width = max(1, self._width)
-        step = max(1, _MASK_CHUNK_BUDGET // width)
+        step = max(1, _MASK_CHUNK_BUDGET // self._width)
         per_batch = max(1, _MASK_CHUNK_BUDGET // 4 // (step * self._near_per_mask))
         batch = max(1, min(n_masks, step * per_batch))
         d2 = np.empty((min(step, n_masks), self._width), dtype=np.float64)
-        saved = np.empty((_MASK_CHUNK_BUDGET // width if order is not None else 0, self._width),
-                         dtype=np.float64)
+        n_saved = _MASK_CHUNK_BUDGET // self._width if order is not None else 0
+        saved = np.empty((n_saved, self._width), dtype=np.float64)
         depths: list[int] = []
         nears = [np.empty((batch, n_out, c), dtype=np.float64) for n_out, c, _ in self._views]
         denom = (self.class_ids.size - 1) * self.ds.n_samples
@@ -376,10 +371,7 @@ class CriterionEngine:
                 omega_total += (np.add.reduce(2.0 * low - 1.0, axis=2) / c).sum(axis=1)
             gamma_total /= denom
             omega_total /= denom
-            g_gamma[rows] = gamma_total
-            g_omega[rows] = omega_total
-            gc[rows] = (gamma_total + omega_total) / 2.0
-        return g_gamma, g_omega, gc
+            yield rows, gamma_total, omega_total
 
     def _stack(self, masks, ndim: int) -> np.ndarray:
         """A validated (M, N) stack of non-empty masks from one mask (ndim 1)
@@ -391,12 +383,24 @@ class CriterionEngine:
 
     def evaluate(self, mask) -> CriterionValue:
         """Score one non-empty mask."""
-        g_gamma, g_omega, gc = (float(v[0]) for v in self._score(self._stack(mask, 1)))
-        return CriterionValue(g_gamma=g_gamma, g_omega=g_omega, gc=gc)
+        (_, g_gamma, g_omega), = self._score(self._stack(mask, 1), None)
+        g_gamma, g_omega = float(g_gamma[0]), float(g_omega[0])
+        return CriterionValue(g_gamma=g_gamma, g_omega=g_omega, gc=(g_gamma + g_omega) / 2.0)
 
     def evaluate_many(self, masks) -> np.ndarray:
-        """gc of each row of an (M, N) stack of non-empty masks."""
-        return self._score(self._stack(masks, 2))[2]
+        """gc of each row of an (M, N) stack of non-empty masks.
+
+        A stack of more than one row is scored in lexicographic order,
+        feature 0 most significant, so that neighbouring rows share
+        low-feature prefixes for _sq_dists to continue.
+        """
+        stack = self._stack(masks, 2)
+        # Sorted before gc exists, so the sort's transient peak stays apart.
+        order = np.lexsort(stack.T[::-1]) if stack.shape[0] > 1 else None
+        gc = np.empty(stack.shape[0], dtype=np.float64)
+        for rows, g_gamma, g_omega in self._score(stack, order):
+            gc[rows] = (g_gamma + g_omega) / 2.0
+        return gc
 
 
 def g_gamma(ds: Dataset, mask, cfg: KernelConfig = KernelConfig()) -> float:

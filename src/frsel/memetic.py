@@ -54,7 +54,6 @@ class MAConfig:
     ts_iters: int = 200
     fitness_stop: float = 0.9950
     init_neighbors: int = 5
-    elite_count: int = 1
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -64,7 +63,7 @@ class MAConfig:
             raise ValueError("need 0 < f_min <= f_max <= 1")
         if not 0 < self.cr_min <= self.cr_max <= 1:
             raise ValueError("need 0 < cr_min <= cr_max <= 1")
-        for name in ("g_max", "tl", "ts_iters", "init_neighbors", "elite_count"):
+        for name in ("g_max", "tl", "ts_iters", "init_neighbors"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
         if np.isnan(self.fitness_stop):
@@ -411,7 +410,7 @@ def _population_start(cfg, n_features: int, cache, rng):
 
 
 def _ma_step(cfg: MAConfig, state, cache, rng):
-    """One DE generation, then tabu refinement of the elites.
+    """One DE generation, then tabu refinement of the first fittest row.
 
     sigma_sq is the spread of the population entering the generation, the
     one that sets f_g and cr_g.
@@ -424,13 +423,13 @@ def _ma_step(cfg: MAConfig, state, cache, rng):
     keep = trial_fits >= fits
     pop = np.where(keep[:, None], trials, pop)
     fits = np.where(keep, trial_fits, fits)
-    if cfg.elite_count > 0 and cfg.ts_iters > 0:
-        for idx in np.argsort(-fits, kind="stable")[: cfg.elite_count]:
-            refined = ts_local_search(pop[idx], cfg, cache, rng)
-            refined_f = cache(refined)
-            if refined_f > fits[idx]:
-                pop[idx] = refined
-                fits[idx] = refined_f
+    if cfg.ts_iters > 0:
+        idx = int(np.argmax(fits))
+        refined = ts_local_search(pop[idx], cfg, cache, rng)
+        refined_f = cache(refined)
+        if refined_f > fits[idx]:
+            pop[idx] = refined
+            fits[idx] = refined_f
     return (pop, fits), _population_step(pop, fits, sigma_sq, f_g, cr_g)
 
 

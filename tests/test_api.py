@@ -26,3 +26,19 @@ def test_readme_python_api_block_runs(capsys):
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(code, str(README), "exec"), {})
     assert len(capsys.readouterr().out.splitlines()) == 2
+
+
+def test_readme_configuration_keys_exist():
+    # a dotted key in backticks under "Configuration" names a live config key
+    from frsel.cli import DEFAULTS
+
+    section = README.read_text(encoding="utf-8").split("## Configuration", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    prefixes = "|".join(sorted({key.split(".")[0] for key in DEFAULTS if "." in key}))
+    named = [
+        match
+        for span in re.findall(r"`([^`]*)`", section)
+        for match in re.findall(rf"\b(?:{prefixes})\.\w+", span)
+    ]
+    assert len(set(named)) >= 20
+    assert sorted(set(named) - set(DEFAULTS)) == []

@@ -194,18 +194,25 @@ class TestNamespace:
             "kernel.delta", "kernel.per_feature_normalization", "kernel.n_k",
             "ma.np", "ma.g_max", "ma.f_min", "ma.f_max", "ma.cr_min",
             "ma.cr_max", "ma.tl", "ma.ts_iters", "ma.fitness_stop",
-            "ma.init_neighbors", "ma.elite_count",
+            "ma.init_neighbors",
             "baselines.kinds", "baselines.np", "baselines.g_max",
-            "baselines.ga_crossover", "baselines.ga_mutation",
-            "baselines.pso_c1", "baselines.pso_c2", "baselines.pso_inertia",
-            "baselines.pso_vmax", "baselines.fitness_stop",
+            "baselines.fitness_stop",
             "compare.runs", "compare.certify", "oracle.max_n",
             "evaluate.mask", "evaluate.k",
             "synth.n_informative", "synth.n_noise", "synth.samples_per_class",
             "synth.cluster_separation", "synth.noise_std",
         }
 
-    @pytest.mark.parametrize("flag", ["--ma.seed=1", "--baselines.kind=GA"])
+    def test_subcommand_help_names_the_common_flags(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["select", "--help"])
+        out = capsys.readouterr().out
+        for flag in ("--data", "--config", "--seed", "--out", "--workers"):
+            assert flag in out
+
+    @pytest.mark.parametrize("flag", ["--ma.seed=1", "--baselines.kind=GA",
+                                      "--ma.elite_count=1", "--baselines.pso_c1=2",
+                                      "--dat=x", "--conf=x"])
     def test_per_run_fields_are_not_keys(self, small_csv, flag, capsys):
         assert main(["select", "--data", small_csv, flag]) == 1
         assert "unknown config key" in capsys.readouterr().err
@@ -314,8 +321,7 @@ class TestCompare:
             raise AssertionError("oracle ran before the config was checked")
 
         monkeypatch.setattr(cli, "exhaustive_best", no_oracle)
-        for flag, field in (("--baselines.pso_vmax=nan", "pso_vmax"),
-                            ("--baselines.fitness_stop=nan", "fitness_stop"),
+        for flag, field in (("--baselines.fitness_stop=nan", "fitness_stop"),
                             ("--ma.fitness_stop=nan", "fitness_stop")):
             rc = main(["compare", "--data", small_csv, "--out", str(tmp_path / "run"),
                        "--baselines.kinds=BPSO", "--compare.certify=true", flag])

@@ -76,7 +76,7 @@ class TestMAConfig:
         assert MAConfig(f_min=1.0, f_max=1.0).f_max == 1.0
 
     def test_negative_counts(self):
-        for key in ("g_max", "tl", "ts_iters", "init_neighbors", "elite_count"):
+        for key in ("g_max", "tl", "ts_iters", "init_neighbors"):
             with pytest.raises(ValueError, match=key):
                 MAConfig(**{key: -1})
 
@@ -245,7 +245,7 @@ class TestSelection:
         # through one DE generation with fitness = popcount: a fitter trial
         # replaces its target, a less fit one does not, and a tie keeps
         # the trial
-        cfg = MAConfig(np=12, elite_count=0)
+        cfg = MAConfig(np=12, ts_iters=0)
         rng = np.random.default_rng(5)
         pop = repair_empty(rng.integers(0, 2, (12, 6), dtype=np.uint8), rng)
         fits = pop.sum(axis=1).astype(np.float64)
@@ -263,6 +263,31 @@ class TestSelection:
         keep = trial_fits >= fits
         assert new_pop.tolist() == np.where(keep[:, None], trials, pop).tolist()
         assert new_fits.tolist() == np.maximum(trial_fits, fits).tolist()
+
+    def test_walk_starts_from_first_fittest_row(self, monkeypatch):
+        # rows 1, 3 and 4 tie for the top fitness; the DE step keeps the
+        # population as it is, so the walk must start from row 1, and its
+        # better mask replaces row 1 only
+        pop = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
+                        [0, 0, 0, 1], [1, 1, 0, 0]], dtype=np.uint8)
+        table = {(1, 0, 0, 0): 0.2, (0, 1, 0, 0): 0.7, (0, 0, 1, 0): 0.5,
+                 (0, 0, 0, 1): 0.7, (1, 1, 0, 0): 0.7, (1, 1, 1, 1): 0.9}
+        fits = np.array([table[tuple(row)] for row in pop.tolist()])
+        starts = []
+
+        def walk(start, cfg, cache, rng):
+            starts.append(start.tolist())
+            return np.ones(4, dtype=np.uint8)
+
+        monkeypatch.setattr(memetic, "bde_crossover", lambda pop, mutants, cr, rng: pop.copy())
+        monkeypatch.setattr(memetic, "ts_local_search", walk)
+        (new_pop, new_fits), _ = memetic._ma_step(
+            MAConfig(np=5, ts_iters=3), (pop, fits), FunctionCache(table_fitness(table)),
+            np.random.default_rng(0),
+        )
+        assert starts == [[0, 1, 0, 0]]
+        assert new_pop.tolist() == [pop[0].tolist(), [1, 1, 1, 1], *pop[2:].tolist()]
+        assert new_fits.tolist() == [0.2, 0.9, 0.5, 0.7, 0.7]
 
 
 TRAJECTORY_TABLE = {
@@ -673,13 +698,12 @@ class TestRunMA:
         assert result.terminated_by == "generation_limit"
         assert result.best_fitness == fitness(result.best_mask, ds, kcfg)
 
-    def test_zero_elites_never_call_local_search(self, monkeypatch):
+    def test_zero_ts_iters_never_call_local_search(self, monkeypatch):
         def boom(*args, **kwargs):
             raise AssertionError("local search must stay disabled")
 
         monkeypatch.setattr(memetic, "ts_local_search", boom)
-        cfg = MAConfig(elite_count=0, **{k: v for k, v in self.CFG.items()
-                                         if k != "ts_iters"}, ts_iters=5)
+        cfg = MAConfig(**{k: v for k, v in self.CFG.items() if k != "ts_iters"}, ts_iters=0)
         result = run_ma(tiny_dataset(), KernelConfig(), cfg)
         assert result.best_fitness >= -0.5
 
