@@ -105,14 +105,17 @@ class FitnessCache:
     counter and the stored values never depend on the worker count. Masks
     that are not 0/1 vectors of the dataset's width are rejected before any
     lookup. `neighborhoods` is the tabu walk's per-mask move table, kept here
-    so it lives exactly as long as the memoized values it mirrors.
+    so it lives exactly as long as the memoized values it mirrors: a visited
+    mask's moves as a list of (fitness, first, second) triples in descending
+    fitness, ties in neighborhood order, or for a mask with over 500 moves
+    only its (first, second) position arrays, a tuple in neighborhood order.
     """
 
     def __init__(self, ds: Dataset, kcfg: KernelConfig, workers: int = 0):
         self._engine = CriterionEngine(ds, kcfg)
         self._n_features = ds.n_features
         self._table: dict[bytes, float] = {}
-        self.neighborhoods: dict[bytes, tuple] = {}
+        self.neighborhoods: dict[bytes, list | tuple] = {}
         self.evaluations = 0
         self._pool = (
             ThreadPoolExecutor(max_workers=workers) if workers and workers > 1 else None
@@ -241,6 +244,20 @@ def _score(fitness_fn, masks: np.ndarray) -> np.ndarray:
     return np.array([fitness_fn(m) for m in masks], dtype=np.float64)
 
 
+def _ordered_moves(fitness_fn, mask: np.ndarray, first: np.ndarray, second: np.ndarray) -> list:
+    """Scored moves of `mask` as (fitness, first, second), fittest first.
+
+    Ties keep neighborhood order (a stable sort on -fitness), so the first
+    move in this list that passes a test is the fittest one that does, first
+    in neighborhood order on a tie.
+    """
+    fits = _score(fitness_fn, _toggled(mask, first, second))
+    if np.isnan(fits).any():
+        raise ValueError(f"NaN fitness in the neighborhood of mask {mask_to_hex(mask)}")
+    order = np.argsort(-fits, kind="stable")
+    return list(zip(fits[order].tolist(), first[order].tolist(), second[order].tolist()))
+
+
 def ts_local_search(start, cfg: MAConfig, fitness_fn, rng, trace=None) -> np.ndarray:
     """Tabu walk from a non-empty mask; returns the best mask encountered.
 
@@ -253,10 +270,18 @@ def ts_local_search(start, cfg: MAConfig, fitness_fn, rng, trace=None) -> np.nda
     worse than the current mask; that is the escape mechanism. Ties go to
     the first move in neighborhood order.
 
-    A mask's moves and their fitnesses are built and scored once, on its
-    first visit, into a table keyed by the mask's bytes (the cache's
-    `neighborhoods` when fitness_fn has one, else a table for this call);
-    neighborhoods larger than 500 moves keep only their moves there.
+    That rule reads the moves in descending fitness order, ties in
+    neighborhood order: the first move when it beats the best fitness seen
+    (aspiration), else the first whose touched positions are both free,
+    else the first move.
+
+    A mask's moves are built and scored once, on its first visit, into a
+    table keyed by the mask's bytes (the cache's `neighborhoods` when
+    fitness_fn has one, else a table for this call), as a list of (fitness,
+    first, second) triples in that order. A neighborhood over 500 moves
+    keeps only its (first, second) position arrays there; each visit scores
+    a fresh sample and orders that. A NaN fitness in a neighborhood raises
+    ValueError naming the mask.
 
     `trace`, if given, receives (iteration, touched_positions, fitness) per
     accepted move.
@@ -272,33 +297,33 @@ def ts_local_search(start, cfg: MAConfig, fitness_fn, rng, trace=None) -> np.nda
         table = {}
     # expiry[p]: first iteration at which position p is free again; slot n
     # is the flips' second position and is never tabu.
-    expiry = np.zeros(n + 1, dtype=np.int64)
+    expiry = [0] * (n + 1)
     for it in range(1, cfg.ts_iters + 1):
         key = current.tobytes()
-        entry = table.get(key)
-        if entry is None:
+        moves = table.get(key)
+        if moves is None:
             first, second = _neighborhood(current)
             if first.size == 0:
                 break
-            fits = None
             if first.size <= _TS_CANDIDATE_CAP:
-                fits = _score(fitness_fn, _toggled(current, first, second))
-            entry = table[key] = (first, second, fits)
-        first, second, fits = entry
-        if fits is None:
+                moves = _ordered_moves(fitness_fn, current, first, second)
+            else:
+                moves = (first, second)
+            table[key] = moves
+        if isinstance(moves, tuple):
+            first, second = moves
             pick = rng.choice(first.size, size=_TS_CANDIDATE_CAP, replace=False)
             pick.sort()
-            first, second = first[pick], second[pick]
-            fits = _score(fitness_fn, _toggled(current, first, second))
-        free = np.maximum(expiry[first], expiry[second]) <= it
-        admissible = (free | (fits > best_f)).nonzero()[0]
-        if admissible.size:
-            idx = int(admissible[fits[admissible].argmax()])
-        else:
-            idx = int(fits.argmax())
-        chosen_f = fits[idx]
+            moves = _ordered_moves(fitness_fn, current, first[pick], second[pick])
+        chosen_f, a, b = moves[0]
+        if not chosen_f > best_f:
+            for chosen_f, a, b in moves:
+                if expiry[a] <= it and expiry[b] <= it:
+                    break
+            else:
+                chosen_f, a, b = moves[0]
         current = current.copy()
-        move = (int(first[idx]),) if second[idx] == n else (int(first[idx]), int(second[idx]))
+        move = (a,) if b == n else (a, b)
         for p in move:
             current[p] ^= 1
             expiry[p] = it + cfg.tl
@@ -306,7 +331,7 @@ def ts_local_search(start, cfg: MAConfig, fitness_fn, rng, trace=None) -> np.nda
             best = current
             best_f = chosen_f
         if trace is not None:
-            trace.append((it, move, float(chosen_f)))
+            trace.append((it, move, chosen_f))
     return best
 
 

@@ -19,7 +19,7 @@ from frsel import (
     runlog_lines,
     synth_clusters,
 )
-from frsel.criterion import hex_to_mask, popcount
+from frsel.criterion import hex_to_mask, mask_to_hex, popcount
 from frsel.memetic import (
     EMPTY_MASK_FITNESS,
     FitnessCache,
@@ -457,6 +457,87 @@ class TestTabuMatchesReference:
             assert rng_state == ref_rng
             assert cache.evaluations == ref_cache.evaluations
             start = best
+
+
+class TestTabuAtSelect10Shape:
+    @pytest.mark.parametrize("seed", [5, 17, 211])
+    def test_two_walks_match_reference(self, benchmark_ds, seed):
+        # the MA's own regime: N = 10, tl 20, 200 iterations, and a second
+        # walk that continues the first one's RNG and starts from its best,
+        # so it mostly reads neighborhoods the first one stored
+        ref_cache = FitnessCache(benchmark_ds, KernelConfig())
+        cache = FitnessCache(benchmark_ds, KernelConfig())
+        cfg = MAConfig(tl=20, ts_iters=200)
+        ref_rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(seed)
+        ref_start = start = random_start(10, seed)
+        for _ in range(2):
+            ref_trace, trace = [], []
+            ref_start = reference_ts_local_search(ref_start, cfg, ref_cache, ref_rng, trace=ref_trace)
+            start = ts_local_search(start, cfg, cache, rng, trace=trace)
+            assert len(trace) == 200
+            assert trace == ref_trace
+            assert start.tolist() == ref_start.tolist()
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            assert cache.evaluations == ref_cache.evaluations
+
+
+class FitnessWithTable:
+    """A plain fitness callable that exposes the walk's move table."""
+
+    def __init__(self, f):
+        self.f = f
+        self.neighborhoods = {}
+
+    def __call__(self, mask):
+        return self.f(mask)
+
+
+class TestTabuMoveTable:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_entries_in_fitness_order_ties_in_neighborhood_order(self, seed):
+        n = 9
+        fn = FitnessWithTable(rounded_weight_fitness(n, seed))
+        ts_local_search(random_start(n, seed), MAConfig(tl=3, ts_iters=30), fn,
+                        np.random.default_rng(seed))
+        assert fn.neighborhoods
+        ties = 0
+        for key, moves in fn.neighborhoods.items():
+            mask = np.frombuffer(key, dtype=np.uint8)
+            first, second = memetic._neighborhood(mask)
+            fits = [fn(memetic._toggled(mask, first[i:i + 1], second[i:i + 1])[0])
+                    for i in range(first.size)]
+            order = sorted(range(first.size), key=lambda i: -fits[i])
+            assert isinstance(moves, list)
+            assert moves == [(fits[i], int(first[i]), int(second[i])) for i in order]
+            ties += len(fits) - len(set(fits))
+        assert ties > 0
+
+    def test_large_neighborhood_keeps_moves_only(self):
+        # 46 features with 23 selected give 46 + 23 * 23 = 575 moves
+        n = 46
+        fn = FitnessWithTable(rounded_weight_fitness(n, 4))
+        start = np.zeros(n, dtype=np.uint8)
+        start[::2] = 1
+        ts_local_search(start, MAConfig(ts_iters=1), fn, np.random.default_rng(4))
+        entry = fn.neighborhoods[start.tobytes()]
+        assert isinstance(entry, tuple)
+        first, second = memetic._neighborhood(start)
+        assert first.size == 575
+        assert [a.tolist() for a in entry] == [first.tolist(), second.tolist()]
+
+    @pytest.mark.parametrize("n", [3, 46])
+    def test_nan_neighbor_fitness_rejected(self, n):
+        start = np.zeros(n, dtype=np.uint8)
+        start[::2] = 1
+        nan_at = start.copy()
+        nan_at[1] = 1
+
+        def f(mask):
+            return float("nan") if np.array_equal(mask, nan_at) else float(mask.sum())
+
+        with pytest.raises(ValueError, match=f"NaN fitness .* mask {mask_to_hex(start)}"):
+            ts_local_search(start, MAConfig(ts_iters=3), f, np.random.default_rng(0))
 
 
 class TestRepairAndInit:
