@@ -38,9 +38,9 @@ _STORE_BUDGET = 8_000_000
 # Masks are scored in chunks whose flat distance rows hold at most this many
 # float64 elements (512 KB), and at least one mask. The sorted copy of one
 # class-pair block is no larger. The same budget bounds a stack's prefix
-# checkpoints (budget // width rows, none when one row is wider) and, at a
-# quarter, the neighbours of one tail batch (at least one chunk), so the
-# kernel's buffers stay near 2 MB.
+# checkpoints (budget // width rows, fewer than the stack's, none when one
+# row is wider) and, at a quarter, the neighbours of one tail batch (at
+# least one chunk), so the kernel's buffers stay near 2 MB.
 _MASK_CHUNK_BUDGET = 1 << 16
 
 
@@ -233,11 +233,12 @@ class CriterionEngine:
     direction. Construction stores each feature's squared differences when
     N * sum(|a| * |b|) float64 elements fit the budget; otherwise every
     evaluation rebuilds the selected ones. Both add them in feature order,
-    so both give the same bits. evaluate and evaluate_many share one kernel
-    that scores a stack of masks chunk by chunk, continuing exact partial
-    sums from row to row, with the same arithmetic for a row in any chunk
-    and at any place in the stack. All methods are pure with respect to the
-    engine state and safe to call from several threads at once.
+    so both give the same bits. evaluate scores a one-row stack through the
+    kernel of evaluate_many, which scores a stack chunk by chunk in
+    lexicographic order, continuing exact partial sums from row to row, with
+    the same arithmetic for a row in any chunk and at any place in the
+    stack. All methods are pure with respect to the engine state and safe
+    to call from several threads at once.
     """
 
     def __init__(self, ds: Dataset, cfg: KernelConfig = KernelConfig()):
@@ -315,24 +316,26 @@ class CriterionEngine:
             while depths and depths[-1] > keep:
                 depths.pop()
 
-    def _score(self, masks: np.ndarray, order: np.ndarray | None):
+    def _score(self, masks: np.ndarray):
         """Yield (rows, g_gamma, g_omega) for each batch of a validated (M, N)
         stack of non-empty masks: the batch's positions in the stack, and
         their two scores as fresh arrays.
 
-        order is the order to score the rows in, or None for stack order
-        with no checkpoints. Distances form in chunks of masks, each chunk's
-        sorted neighbours go into a tail batch of whole chunks, and the
+        Rows are scored in lexicographic order, feature 0 most significant,
+        so that neighbouring rows share low-feature prefixes for _sq_dists
+        to continue. Distances form in chunks of masks, each chunk's sorted
+        neighbours go into a tail batch of whole chunks, and the
         exp/sqrt/mean tail runs once per batch. _MASK_CHUNK_BUDGET bounds a
-        chunk's distances, the checkpoints and, at a quarter, a batch's
-        neighbours.
+        chunk's distances, the checkpoints (at most M - 1, so none for one
+        row) and, at a quarter, a batch's neighbours.
         """
         n_masks = masks.shape[0]
+        order = np.lexsort(masks.T[::-1])
         step = max(1, _MASK_CHUNK_BUDGET // self._width)
         per_batch = max(1, _MASK_CHUNK_BUDGET // 4 // (step * self._near_per_mask))
         batch = max(1, min(n_masks, step * per_batch))
         d2 = np.empty((min(step, n_masks), self._width), dtype=np.float64)
-        n_saved = _MASK_CHUNK_BUDGET // self._width if order is not None else 0
+        n_saved = max(0, min(_MASK_CHUNK_BUDGET // self._width, n_masks - 1))
         saved = np.empty((n_saved, self._width), dtype=np.float64)
         depths: list[int] = []
         nears = [np.empty((batch, n_out, c), dtype=np.float64) for n_out, c, _ in self._views]
@@ -340,11 +343,8 @@ class CriterionEngine:
         for lo in range(0, n_masks, batch):
             hi = min(lo + batch, n_masks)
             m = hi - lo
-            if order is None:
-                rows, part = slice(lo, hi), masks[lo:hi]
-            else:
-                # One row past the batch, for the depth the last row shares.
-                rows, part = order[lo:hi], masks[order[lo:hi + 1]]
+            # One row past the batch, for the depth the last row shares.
+            rows, part = order[lo:hi], masks[order[lo:hi + 1]]
             sels = [mask.nonzero()[0].tolist() for mask in part]
             for clo in range(0, m, step):
                 chunk = d2[:min(step, m - clo)]
@@ -383,22 +383,15 @@ class CriterionEngine:
 
     def evaluate(self, mask) -> CriterionValue:
         """Score one non-empty mask."""
-        (_, g_gamma, g_omega), = self._score(self._stack(mask, 1), None)
+        (_, g_gamma, g_omega), = self._score(self._stack(mask, 1))
         g_gamma, g_omega = float(g_gamma[0]), float(g_omega[0])
         return CriterionValue(g_gamma=g_gamma, g_omega=g_omega, gc=(g_gamma + g_omega) / 2.0)
 
     def evaluate_many(self, masks) -> np.ndarray:
-        """gc of each row of an (M, N) stack of non-empty masks.
-
-        A stack of more than one row is scored in lexicographic order,
-        feature 0 most significant, so that neighbouring rows share
-        low-feature prefixes for _sq_dists to continue.
-        """
+        """gc of each row of an (M, N) stack of non-empty masks."""
         stack = self._stack(masks, 2)
-        # Sorted before gc exists, so the sort's transient peak stays apart.
-        order = np.lexsort(stack.T[::-1]) if stack.shape[0] > 1 else None
         gc = np.empty(stack.shape[0], dtype=np.float64)
-        for rows, g_gamma, g_omega in self._score(stack, order):
+        for rows, g_gamma, g_omega in self._score(stack):
             gc[rows] = (g_gamma + g_omega) / 2.0
         return gc
 

@@ -101,14 +101,17 @@ class FitnessCache:
 
     Keys are the raw mask bytes. `evaluations` counts distinct masks actually
     computed; cache hits do not move it. batch() deduplicates its inputs in
-    first-occurrence order before (optionally parallel) computation, so the
-    counter and the stored values never depend on the worker count. Masks
-    that are not 0/1 vectors of the dataset's width are rejected before any
-    lookup. `neighborhoods` is the tabu walk's per-mask move table, kept here
-    so it lives exactly as long as the memoized values it mirrors: a visited
-    mask's moves as a list of (fitness, first, second) triples in descending
-    fitness, ties in neighborhood order, or for a mask with over 500 moves
-    only its (first, second) position arrays, a tuple in neighborhood order.
+    first-occurrence order, gives the empty mask EMPTY_MASK_FITNESS and
+    scores the other new masks with one evaluate_many call, or with a pool
+    one call per contiguous slice. Per-row scores do not depend on the
+    stack, so the counter and the stored values never depend on the worker
+    count. Masks that are not 0/1 vectors of the dataset's width are
+    rejected before any lookup. `neighborhoods` is the tabu walk's per-mask
+    move table, kept here so it lives exactly as long as the memoized values
+    it mirrors: a visited mask's moves as a list of (fitness, first, second)
+    triples in descending fitness, ties in neighborhood order, or for a mask
+    with over 500 moves only its (first, second) position arrays, a tuple in
+    neighborhood order.
     """
 
     def __init__(self, ds: Dataset, kcfg: KernelConfig, workers: int = 0):
@@ -117,19 +120,20 @@ class FitnessCache:
         self._table: dict[bytes, float] = {}
         self.neighborhoods: dict[bytes, list | tuple] = {}
         self.evaluations = 0
-        self._pool = (
-            ThreadPoolExecutor(max_workers=workers) if workers and workers > 1 else None
-        )
+        self._workers = workers
+        self._pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
 
     def close(self) -> None:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
 
-    def _compute(self, mask: np.ndarray) -> float:
-        if not mask.any():
-            return EMPTY_MASK_FITNESS
-        return self._engine.evaluate(mask).gc
+    def _score(self, stack: np.ndarray) -> np.ndarray:
+        """gc of a stack of non-empty masks, at most one slice per worker."""
+        if self._pool is None:
+            return self._engine.evaluate_many(stack)
+        slices = np.array_split(stack, min(len(stack), self._workers))
+        return np.concatenate(list(self._pool.map(self._engine.evaluate_many, slices)))
 
     def __call__(self, mask) -> float:
         return self.batch(as_mask(mask, self._n_features)[None])[0]
@@ -143,12 +147,12 @@ class FitnessCache:
         table = self._table
         todo = [key for key in dict.fromkeys(keys) if key not in table]
         if todo:
-            rows = [np.frombuffer(key, dtype=np.uint8) for key in todo]
-            if self._pool is not None and len(rows) > 1:
-                values = list(self._pool.map(self._compute, rows))
-            else:
-                values = [self._compute(row) for row in rows]
-            table.update(zip(todo, values))
+            stack = np.frombuffer(b"".join(todo), dtype=np.uint8).reshape(len(todo), -1)
+            live = stack.any(axis=1)
+            values = np.full(len(todo), EMPTY_MASK_FITNESS)
+            if live.any():
+                values[live] = self._score(stack[live])
+            table.update(zip(todo, values.tolist()))
             self.evaluations += len(todo)
         return [table[key] for key in keys]
 

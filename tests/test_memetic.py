@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import frsel.criterion as criterion
 import frsel.memetic as memetic
 from conftest import make_dataset, standardize
 from frsel import (
@@ -19,7 +20,7 @@ from frsel import (
     runlog_lines,
     synth_clusters,
 )
-from frsel.criterion import hex_to_mask, mask_to_hex, popcount
+from frsel.criterion import CriterionEngine, hex_to_mask, mask_to_hex, popcount
 from frsel.memetic import (
     EMPTY_MASK_FITNESS,
     FitnessCache,
@@ -644,11 +645,52 @@ class TestFitnessCache:
         finally:
             pooled.close()
 
-    def test_matches_direct_fitness(self):
+    def test_matches_direct_fitness(self, monkeypatch):
+        # Each cached value is the engine's one-mask gc bit for bit, on the
+        # stored and the per-call distance path and at any worker count. New
+        # masks reach the kernel as one stack, or one non-empty contiguous
+        # slice per worker.
         ds = tiny_dataset()
-        cache = FitnessCache(ds, KernelConfig())
-        m = bits("101010")
-        assert cache(m) == fitness(m, ds, KernelConfig())
+        rng = np.random.default_rng(4)
+        rows = rng.integers(0, 2, (20, 6), dtype=np.uint8)
+        stack = np.vstack([rows, rows[:5], np.zeros((2, 6), dtype=np.uint8)])
+        stack = stack[rng.permutation(len(stack))]
+        distinct = {row.tobytes() for row in stack}
+        live = len(distinct) - 1
+        lone = next(m for m in map(bits, ("101010", "010101", "110011"))
+                    if m.tobytes() not in distinct)
+        sizes = []
+        evaluate_many = CriterionEngine.evaluate_many
+
+        def spy(engine, masks):
+            sizes.append(len(masks))
+            return evaluate_many(engine, masks)
+
+        monkeypatch.setattr(CriterionEngine, "evaluate_many", spy)
+        for budget in (criterion._STORE_BUDGET, 0):
+            monkeypatch.setattr(criterion, "_STORE_BUDGET", budget)
+            engine = CriterionEngine(ds, KernelConfig())
+            assert (engine._store is None) == (budget == 0)
+
+            def direct(masks):
+                return [(engine.evaluate(m).gc if m.any() else EMPTY_MASK_FITNESS).hex()
+                        for m in masks]
+
+            for workers in (0, 2, 3):
+                cache = FitnessCache(ds, KernelConfig(), workers=workers)
+                try:
+                    sizes.clear()
+                    assert [v.hex() for v in cache.batch(stack)] == direct(stack)
+                    assert cache.evaluations == len(distinct)
+                    assert sum(sizes) == live and len(sizes) == max(1, workers) and min(sizes) > 0
+                    # One live row beside a cached empty mask.
+                    sizes.clear()
+                    one = [lone, stack[0] * 0, lone]
+                    assert [v.hex() for v in cache.batch(one)] == direct(one)
+                    assert cache.evaluations == len(distinct) + 1
+                    assert sizes == [1]
+                finally:
+                    cache.close()
 
     @pytest.mark.parametrize("bad", [
         [1, 1, 0, 0, 0, 256],
