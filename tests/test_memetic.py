@@ -685,7 +685,7 @@ class TestFitnessCache:
                     assert sum(sizes) == live and len(sizes) == max(1, workers) and min(sizes) > 0
                     # One live row beside a cached empty mask.
                     sizes.clear()
-                    one = [lone, stack[0] * 0, lone]
+                    one = [lone, np.zeros(6, dtype=np.uint8), lone]
                     assert [v.hex() for v in cache.batch(one)] == direct(one)
                     assert cache.evaluations == len(distinct) + 1
                     assert sizes == [1]
