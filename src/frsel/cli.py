@@ -13,8 +13,8 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import secrets
 import sys
-import tempfile
 from dataclasses import fields
 from pathlib import Path
 from typing import get_type_hints
@@ -153,14 +153,21 @@ def build_config(args, extra_tokens: list[str]) -> dict[str, object]:
     for key in ("seed", "workers"):
         if cfg[key] < 0:
             raise ValueError(f"{key} must be non-negative")
+    if cfg["evaluate.k"] < 1:
+        raise ValueError("evaluate.k must be at least 1")
     return cfg
 
 
 def atomic_write_text(path: Path, text: str) -> None:
-    """Write text verbatim via a same-directory temp file and rename."""
+    """Write text verbatim via a same-directory temp file and rename.
+
+    The temp file is created with mode 0o666 less the umask, as
+    open(path, "w") would create the file itself.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

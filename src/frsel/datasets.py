@@ -26,7 +26,8 @@ class Dataset:
 
     samples is float64 of shape (n_samples, n_features), labels is int64 of
     shape (n_samples,). Construction validates shapes, at least one feature
-    column, finiteness, unique feature names and at least two classes.
+    column, finiteness, whole-number labels, unique feature names and at
+    least two classes.
     """
 
     samples: np.ndarray
@@ -35,7 +36,13 @@ class Dataset:
 
     def __post_init__(self) -> None:
         samples = np.array(self.samples, dtype=np.float64)
-        labels = np.array(self.labels, dtype=np.int64)
+        raw = np.asarray(self.labels)
+        if raw.dtype.kind == "f":
+            bad = np.flatnonzero(~np.isfinite(raw) | (raw != np.trunc(raw)))
+            if bad.size:
+                r = bad[0]
+                raise ValueError(f"label {float(raw.flat[r])!r} at row {r} is not a whole number")
+        labels = np.array(raw, dtype=np.int64)
         if samples.ndim != 2:
             raise ValueError("samples must be a 2-D matrix")
         if samples.shape[1] == 0:

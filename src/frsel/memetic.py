@@ -36,7 +36,7 @@ EMPTY_MASK_FITNESS = -1.0
 # Guard for the variance denominator when the best fitness is near zero.
 _VARIANCE_GUARD = 1e-12
 
-# Largest tabu neighborhood scanned exactly; bigger ones are subsampled.
+# Largest tabu neighborhood scored whole and stored; bigger ones are sampled.
 _TS_CANDIDATE_CAP = 500
 
 
@@ -108,17 +108,14 @@ class FitnessCache:
     count. Masks that are not 0/1 vectors of the dataset's width are
     rejected before any lookup. `neighborhoods` is the tabu walk's per-mask
     move table, kept here so it lives exactly as long as the memoized values
-    it mirrors: a visited mask's moves as a list of (fitness, first, second)
-    triples in descending fitness, ties in neighborhood order, or for a mask
-    with over 500 moves only its (first, second) position arrays, a tuple in
-    neighborhood order.
+    it mirrors; ts_local_search describes its entries.
     """
 
     def __init__(self, ds: Dataset, kcfg: KernelConfig, workers: int = 0):
         self._engine = CriterionEngine(ds, kcfg)
         self._n_features = ds.n_features
         self._table: dict[bytes, float] = {}
-        self.neighborhoods: dict[bytes, list | tuple] = {}
+        self.neighborhoods: dict[bytes, list] = {}
         self.evaluations = 0
         self._workers = workers
         self._pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
@@ -242,50 +239,36 @@ def _toggled(mask: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndar
     return out[:, :n]
 
 
-def _score(fitness_fn, masks: np.ndarray) -> np.ndarray:
-    if hasattr(fitness_fn, "batch"):
-        return np.asarray(fitness_fn.batch(masks), dtype=np.float64)
-    return np.array([fitness_fn(m) for m in masks], dtype=np.float64)
-
-
-def _ordered_moves(fitness_fn, mask: np.ndarray, first: np.ndarray, second: np.ndarray) -> list:
+def _ordered_moves(cache, mask: np.ndarray, first: np.ndarray, second: np.ndarray) -> list:
     """Scored moves of `mask` as (fitness, first, second), fittest first.
 
     Ties keep neighborhood order (a stable sort on -fitness), so the first
     move in this list that passes a test is the fittest one that does, first
     in neighborhood order on a tie.
     """
-    fits = _score(fitness_fn, _toggled(mask, first, second))
+    fits = np.asarray(cache.batch(_toggled(mask, first, second)))
     if np.isnan(fits).any():
         raise ValueError(f"NaN fitness in the neighborhood of mask {mask_to_hex(mask)}")
     order = np.argsort(-fits, kind="stable")
     return list(zip(fits[order].tolist(), first[order].tolist(), second[order].tolist()))
 
 
-def ts_local_search(start, cfg: MAConfig, fitness_fn, rng, trace=None) -> np.ndarray:
+def ts_local_search(start, cfg: MAConfig, cache, rng, trace=None) -> np.ndarray:
     """Tabu walk from a non-empty mask; returns the best mask encountered.
 
-    Each iteration scans the neighborhood (subsampled to 500 moves when
-    larger), takes the best move whose touched positions are all off the
-    tabu list, and marks those positions tabu for the next cfg.tl
-    iterations. A tabu move is admissible anyway when it beats the best
-    fitness seen so far. If every move is tabu and none aspirates, the best
-    forbidden move is taken so the walk cannot stall. Accepted moves may be
-    worse than the current mask; that is the escape mechanism. Ties go to
-    the first move in neighborhood order.
+    Each iteration reads the current mask's moves in descending fitness,
+    ties in neighborhood order, and takes the first move that beats the
+    best fitness seen so far (aspiration), else the first whose touched
+    positions are all off the tabu list, else the first move, so the walk
+    cannot stall. The taken move's positions are tabu for the next cfg.tl
+    iterations. Accepted moves may be worse than the current mask; that is
+    the escape mechanism.
 
-    That rule reads the moves in descending fitness order, ties in
-    neighborhood order: the first move when it beats the best fitness seen
-    (aspiration), else the first whose touched positions are both free,
-    else the first move.
-
-    A mask's moves are built and scored once, on its first visit, into a
-    table keyed by the mask's bytes (the cache's `neighborhoods` when
-    fitness_fn has one, else a table for this call), as a list of (fitness,
-    first, second) triples in that order. A neighborhood over 500 moves
-    keeps only its (first, second) position arrays there; each visit scores
-    a fresh sample and orders that. A NaN fitness in a neighborhood raises
-    ValueError naming the mask.
+    A neighborhood of at most 500 moves is scored once, on the mask's first
+    visit, and stored in cache.neighborhoods under the mask's bytes as a
+    list of (fitness, first, second) triples in that order. A larger one is
+    rebuilt on every visit and a sample of 500 of its moves is scored. A NaN
+    fitness in a neighborhood raises ValueError naming the mask.
 
     `trace`, if given, receives (iteration, touched_positions, fitness) per
     accepted move.
@@ -295,10 +278,8 @@ def ts_local_search(start, cfg: MAConfig, fitness_fn, rng, trace=None) -> np.nda
         raise ValueError("empty start mask")
     n = current.size
     best = current
-    best_f = fitness_fn(current)
-    table = getattr(fitness_fn, "neighborhoods", None)
-    if table is None:
-        table = {}
+    best_f = cache(current)
+    table = cache.neighborhoods
     # expiry[p]: first iteration at which position p is free again; slot n
     # is the flips' second position and is never tabu.
     expiry = [0] * (n + 1)
@@ -309,16 +290,12 @@ def ts_local_search(start, cfg: MAConfig, fitness_fn, rng, trace=None) -> np.nda
             first, second = _neighborhood(current)
             if first.size == 0:
                 break
-            if first.size <= _TS_CANDIDATE_CAP:
-                moves = _ordered_moves(fitness_fn, current, first, second)
+            if first.size > _TS_CANDIDATE_CAP:
+                pick = rng.choice(first.size, size=_TS_CANDIDATE_CAP, replace=False)
+                pick.sort()
+                moves = _ordered_moves(cache, current, first[pick], second[pick])
             else:
-                moves = (first, second)
-            table[key] = moves
-        if isinstance(moves, tuple):
-            first, second = moves
-            pick = rng.choice(first.size, size=_TS_CANDIDATE_CAP, replace=False)
-            pick.sort()
-            moves = _ordered_moves(fitness_fn, current, first[pick], second[pick])
+                moves = table[key] = _ordered_moves(cache, current, first, second)
         chosen_f, a, b = moves[0]
         if not chosen_f > best_f:
             for chosen_f, a, b in moves:
@@ -347,7 +324,7 @@ def repair_empty(masks: np.ndarray, rng) -> np.ndarray:
     return masks
 
 
-def init_population(n_features: int, cfg, fitness_fn, rng) -> np.ndarray:
+def init_population(n_features: int, cfg, cache, rng) -> np.ndarray:
     """cfg.np uniform random masks, repaired, then locally improved.
 
     Each mask is replaced by the best of itself and cfg.init_neighbors
@@ -363,7 +340,7 @@ def init_population(n_features: int, cfg, fitness_fn, rng) -> np.ndarray:
     candidates = np.repeat(pop[:, None, :], n_neighbors + 1, axis=1)
     rows = np.arange(cfg.np)[:, None]
     candidates[rows, np.arange(1, n_neighbors + 1), flips] ^= 1
-    fits = _score(fitness_fn, candidates.reshape(-1, n_features))
+    fits = np.asarray(cache.batch(candidates.reshape(-1, n_features)))
     return candidates[rows[:, 0], fits.reshape(cfg.np, -1).argmax(axis=1)]
 
 

@@ -1,9 +1,12 @@
+import importlib
 import re
+import sys
 from pathlib import Path
 
 import frsel
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+BENCH = README.parent / "bench"
 
 PUBLIC = {
     "BaselineConfig", "Dataset", "KernelConfig", "MAConfig", "SynthSpec",
@@ -42,3 +45,27 @@ def test_readme_configuration_keys_exist():
     ]
     assert len(set(named)) >= 20
     assert sorted(set(named) - set(DEFAULTS)) == []
+
+
+def test_bench_tracer_wraps_live_names(monkeypatch):
+    # bench/spans.py wraps frsel functions and methods by name; a rename or a
+    # changed call shape breaks `bench/run.py --trace 1`, which this catches
+    from frsel import BaselineConfig, KernelConfig, MAConfig, SynthSpec, baselines, memetic
+    from frsel import synth_clusters, zscore_apply, zscore_fit
+
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(BENCH))
+    spans = importlib.import_module("spans")
+    hooks = [(owner, attr, owner.__dict__[attr]) for owner, attr, _ in spans._hooks()]
+    ds = synth_clusters(SynthSpec(n_informative=2, n_noise=3, samples_per_class=10), 0)
+    ds = zscore_apply(ds, zscore_fit(ds))
+    tracer = spans.Tracer()
+    with spans.instrument(tracer):
+        memetic.run_ma(ds, KernelConfig(), MAConfig(np=4, g_max=2, ts_iters=3, fitness_stop=2.0))
+        baselines.run_baseline(ds, KernelConfig(), BaselineConfig(kind="GA", np=4, g_max=2))
+    names = {rec[spans.NAME] for rec in tracer.spans}
+    assert {"tabu.walk", "cache.batch", "cache.call", "de.init", "de.mutate",
+            "baselines.GA"} <= names
+    walks = [rec for rec in tracer.spans if rec[spans.NAME] == "tabu.walk"]
+    assert [rec[spans.COUNT] for rec in walks] == [3, 3]
+    assert all(owner.__dict__[attr] is original for owner, attr, original in hooks)

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 import subprocess
 import sys
 
@@ -164,6 +166,20 @@ class TestConfigHandling:
             assert message in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    def test_evaluate_k_rejected_before_the_search(self, small_csv, tmp_path, capsys,
+                                                   monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("the search ran before evaluate.k was checked")
+
+        monkeypatch.setattr(cli, "run_ma", no_search)
+        for k in ("0", "-3"):
+            rc = main(["select", "--data", small_csv, "--out", str(tmp_path / "run"),
+                       f"--evaluate.k={k}"])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert "evaluate.k must be at least 1" in err and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
     def test_bool_words(self, small_csv, tmp_path):
         out = tmp_path / "nonorm"
         rc = main(["select", "--data", small_csv, "--out", str(out),
@@ -185,6 +201,30 @@ class TestConfigHandling:
         rc = main(["evaluate", "--data", small_csv, "--config", str(cfg_path)])
         assert rc == 1
         assert "no mask given" in capsys.readouterr().err
+
+
+class TestAtomicWrite:
+    def test_mode_follows_umask(self, tmp_path):
+        # the same mode as a plain open(path, "w"): 0o666 less the umask
+        old = os.umask(0o022)
+        try:
+            cli.atomic_write_text(tmp_path / "out" / "a.json", "{}\n")
+            with open(tmp_path / "plain.json", "w") as fh:
+                fh.write("{}\n")
+            os.umask(0o077)
+            cli.atomic_write_text(tmp_path / "out" / "b.json", "{}\n")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE((tmp_path / "out" / "a.json").stat().st_mode) == 0o644
+        assert stat.S_IMODE((tmp_path / "plain.json").stat().st_mode) == 0o644
+        assert stat.S_IMODE((tmp_path / "out" / "b.json").stat().st_mode) == 0o600
+        assert (tmp_path / "out" / "a.json").read_text() == "{}\n"
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["a.json", "b.json"]
+
+    def test_failed_write_leaves_nothing(self, tmp_path):
+        with pytest.raises(TypeError):
+            cli.atomic_write_text(tmp_path / "c.json", None)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestNamespace:

@@ -42,6 +42,17 @@ class TestDataset:
             Dataset(samples=[[0.0, 1.0], [2.0, 3.0]], labels=[1, -1],
                     feature_names=("a", "a"))
 
+    def test_rejects_fractional_labels(self):
+        # an int64 cast would truncate them to [0, 1, 1]
+        with pytest.raises(ValueError, match=r"label 0\.5 at row 0 is not a whole number"):
+            Dataset(samples=[[0.0], [1.0], [2.0]], labels=[0.5, 1.7, 1.2], feature_names=["a"])
+        for bad in (1.2, np.nan, np.inf):
+            with pytest.raises(ValueError, match="at row 2 is not a whole number"):
+                make_dataset([[0.0], [1.0], [2.0]], [0.0, 1.0, bad])
+        ds = make_dataset([[0.0], [1.0], [2.0]], [1.0, -1.0, 1.0])
+        assert ds.labels.dtype == np.int64
+        assert ds.labels.tolist() == [1, -1, 1]
+
     def test_rejects_single_class(self):
         with pytest.raises(ValueError, match="fewer than 2 classes"):
             make_dataset([[0.0], [1.0]], [1, 1])

@@ -40,8 +40,22 @@ def bits(text: str) -> np.ndarray:
     return np.array([int(c) for c in text], dtype=np.uint8)
 
 
-def table_fitness(table: dict):
-    return lambda m: table[tuple(int(b) for b in m)]
+class FunctionCache:
+    """The fitness-cache interface the search uses, over a plain function."""
+
+    def __init__(self, f):
+        self.f = f
+        self.neighborhoods = {}
+
+    def __call__(self, mask):
+        return self.f(mask)
+
+    def batch(self, masks):
+        return [self.f(m) for m in masks]
+
+
+def table_fitness(table: dict) -> FunctionCache:
+    return FunctionCache(lambda m: table[tuple(int(b) for b in m)])
 
 
 def tiny_dataset():
@@ -228,19 +242,6 @@ class TestCrossover:
             assert (out ^ target).sum(axis=1).max() <= 1
 
 
-class FunctionCache:
-    """The fitness-cache interface _ma_step uses, over a plain function."""
-
-    def __init__(self, f):
-        self.f = f
-
-    def __call__(self, mask):
-        return self.f(mask)
-
-    def batch(self, masks):
-        return [self.f(m) for m in masks]
-
-
 class TestSelection:
     def test_three_rules(self):
         # through one DE generation with fitness = popcount: a fitter trial
@@ -283,7 +284,7 @@ class TestSelection:
         monkeypatch.setattr(memetic, "bde_crossover", lambda pop, mutants, cr, rng: pop.copy())
         monkeypatch.setattr(memetic, "ts_local_search", walk)
         (new_pop, new_fits), _ = memetic._ma_step(
-            MAConfig(np=5, ts_iters=3), (pop, fits), FunctionCache(table_fitness(table)),
+            MAConfig(np=5, ts_iters=3), (pop, fits), table_fitness(table),
             np.random.default_rng(0),
         )
         assert starts == [[0, 1, 0, 0]]
@@ -362,7 +363,7 @@ class TestTabuSearch:
 
     def test_empty_start_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            ts_local_search(bits("000"), MAConfig(), lambda m: 0.0,
+            ts_local_search(bits("000"), MAConfig(), FunctionCache(lambda m: 0.0),
                             np.random.default_rng(0))
 
     def test_zero_iterations_returns_start(self):
@@ -375,7 +376,7 @@ class TestTabuSearch:
 
     def test_single_feature_has_no_moves(self):
         out = ts_local_search(bits("1"), MAConfig(ts_iters=4),
-                              lambda m: 0.5, np.random.default_rng(0))
+                              FunctionCache(lambda m: 0.5), np.random.default_rng(0))
         assert out.tolist() == [1]
 
 
@@ -424,7 +425,7 @@ class TestTabuMatchesReference:
         f = rounded_weight_fitness(n, seed)
         cfg = MAConfig(tl=tl, ts_iters=iters)
         (ref_trace, ref_best, ref_rng), (trace, best, rng) = walk_both(
-            random_start(n, seed), cfg, f, f, seed
+            random_start(n, seed), cfg, f, FunctionCache(f), seed
         )
         assert trace == ref_trace
         assert best.dtype == np.uint8
@@ -483,22 +484,11 @@ class TestTabuAtSelect10Shape:
             assert cache.evaluations == ref_cache.evaluations
 
 
-class FitnessWithTable:
-    """A plain fitness callable that exposes the walk's move table."""
-
-    def __init__(self, f):
-        self.f = f
-        self.neighborhoods = {}
-
-    def __call__(self, mask):
-        return self.f(mask)
-
-
 class TestTabuMoveTable:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_entries_in_fitness_order_ties_in_neighborhood_order(self, seed):
         n = 9
-        fn = FitnessWithTable(rounded_weight_fitness(n, seed))
+        fn = FunctionCache(rounded_weight_fitness(n, seed))
         ts_local_search(random_start(n, seed), MAConfig(tl=3, ts_iters=30), fn,
                         np.random.default_rng(seed))
         assert fn.neighborhoods
@@ -514,18 +504,19 @@ class TestTabuMoveTable:
             ties += len(fits) - len(set(fits))
         assert ties > 0
 
-    def test_large_neighborhood_keeps_moves_only(self):
-        # 46 features with 23 selected give 46 + 23 * 23 = 575 moves
+    def test_large_neighborhood_is_sampled_not_stored(self):
+        # 46 features with 23 selected give 46 + 23 * 23 = 575 moves, over
+        # the 500 the walk stores; it samples them with the reference's draw
         n = 46
-        fn = FitnessWithTable(rounded_weight_fitness(n, 4))
+        f = rounded_weight_fitness(n, 4)
+        fn = FunctionCache(f)
         start = np.zeros(n, dtype=np.uint8)
         start[::2] = 1
-        ts_local_search(start, MAConfig(ts_iters=1), fn, np.random.default_rng(4))
-        entry = fn.neighborhoods[start.tobytes()]
-        assert isinstance(entry, tuple)
-        first, second = memetic._neighborhood(start)
-        assert first.size == 575
-        assert [a.tolist() for a in entry] == [first.tolist(), second.tolist()]
+        assert memetic._neighborhood(start)[0].size == 575
+        (ref_trace, _, ref_rng), (trace, _, rng) = walk_both(start, MAConfig(ts_iters=1), f, fn, 4)
+        assert trace == ref_trace
+        assert rng == ref_rng != np.random.default_rng(4).bit_generator.state
+        assert start.tobytes() not in fn.neighborhoods
 
     @pytest.mark.parametrize("n", [3, 46])
     def test_nan_neighbor_fitness_rejected(self, n):
@@ -538,7 +529,8 @@ class TestTabuMoveTable:
             return float("nan") if np.array_equal(mask, nan_at) else float(mask.sum())
 
         with pytest.raises(ValueError, match=f"NaN fitness .* mask {mask_to_hex(start)}"):
-            ts_local_search(start, MAConfig(ts_iters=3), f, np.random.default_rng(0))
+            ts_local_search(start, MAConfig(ts_iters=3), FunctionCache(f),
+                            np.random.default_rng(0))
 
 
 class TestRepairAndInit:
@@ -568,14 +560,14 @@ class TestRepairAndInit:
             counter["n"] += 1
             return float(popcount(mask))
 
-        pop = init_population(9, cfg, f, np.random.default_rng(4))
+        pop = init_population(9, cfg, FunctionCache(f), np.random.default_rng(4))
         assert pop.shape == (12, 9)
         assert pop.dtype == np.uint8
         assert all(popcount(row) >= 1 for row in pop)
 
     def test_init_population_deterministic(self):
         cfg = MAConfig(np=10, init_neighbors=5)
-        f = lambda mask: -float(popcount(mask))
+        f = FunctionCache(lambda mask: -float(popcount(mask)))
         a = init_population(7, cfg, f, np.random.default_rng(11))
         b = init_population(7, cfg, f, np.random.default_rng(11))
         assert np.array_equal(a, b)
@@ -584,10 +576,10 @@ class TestRepairAndInit:
         # with fitness = -popcount the flip neighbors that drop a bit win,
         # so refined rows are never heavier than pure random rows
         cfg = MAConfig(np=30, init_neighbors=5, seed=0)
-        refined = init_population(10, cfg, lambda m: -float(popcount(m)),
+        refined = init_population(10, cfg, FunctionCache(lambda m: -float(popcount(m))),
                                   np.random.default_rng(2))
         raw = init_population(10, MAConfig(np=30, init_neighbors=0),
-                              lambda m: 0.0, np.random.default_rng(2))
+                              FunctionCache(lambda m: 0.0), np.random.default_rng(2))
         assert sum(popcount(r) for r in refined) <= sum(popcount(r) for r in raw)
 
     def test_init_scores_every_candidate_in_one_batch(self):
