@@ -26,6 +26,8 @@ score inside its bounds on tiny datasets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
+from typing import get_type_hints
 
 import numpy as np
 
@@ -44,6 +46,21 @@ _STORE_BUDGET = 8_000_000
 _MASK_CHUNK_BUDGET = 1 << 16
 
 
+def check_int_fields(cfg) -> None:
+    """Reject a bool or non-integer in any int field of a config dataclass.
+
+    The error names the first offending field. A NumPy integer passes and is
+    stored as a Python int, so sums such as a tabu expiry cannot overflow it.
+    """
+    for name, kind in get_type_hints(type(cfg)).items():
+        value = getattr(cfg, name)
+        if kind is not int:
+            continue
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        object.__setattr__(cfg, name, int(value))
+
+
 @dataclass(frozen=True)
 class KernelConfig:
     """Gaussian kernel width, width normalization mode and neighbor count.
@@ -60,6 +77,7 @@ class KernelConfig:
     n_k: int = 3
 
     def __post_init__(self) -> None:
+        check_int_fields(self)
         if not 0 < self.delta < np.inf:
             raise ValueError("delta must be positive and finite")
         if self.n_k < 1:

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .criterion import CriterionEngine, KernelConfig, as_mask, mask_to_hex
+from .criterion import CriterionEngine, KernelConfig, as_mask, check_int_fields, mask_to_hex
 from .datasets import Dataset
 
 # Fitness assigned to the all-zeros mask: strictly below the criterion's
@@ -57,6 +57,7 @@ class MAConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_int_fields(self)
         if self.np < 4:
             raise ValueError("np must be at least 4 (mutation draws 3 donors)")
         if not 0 < self.f_min <= self.f_max <= 1:
@@ -188,16 +189,21 @@ def bde_mutate(pop: np.ndarray, f_g: float, rng) -> np.ndarray:
     """One mutant per row: a base with bits flipped where two donors disagree.
 
     Row i takes the three smallest of np - 1 random keys, one per other row,
-    as base, first and second donor in ascending key order; each differing
-    donor bit is applied with probability f_g.
+    as base, first and second donor in ascending key order (three argmin
+    passes, each masking the key it took); each differing donor bit is
+    applied with probability f_g. Fewer than 4 rows raise ValueError.
     """
     n_pop = pop.shape[0]
+    if n_pop < 4:
+        raise ValueError(f"bde_mutate needs at least 4 rows, got {n_pop}")
     keys = rng.random((n_pop, n_pop - 1))
-    idx = np.argpartition(keys, 2, axis=1)[:, :3]
-    order = np.take_along_axis(keys, idx, axis=1).argsort(axis=1)
-    idx = np.take_along_axis(idx, order, axis=1)
-    idx += idx >= np.arange(n_pop)[:, None]
-    base, d1, d2 = pop[idx.T]
+    rows = np.arange(n_pop)
+    idx = np.empty((3, n_pop), dtype=np.intp)
+    for role in idx:
+        role[:] = keys.argmin(axis=1)
+        keys[rows, role] = np.inf
+    idx += idx >= rows
+    base, d1, d2 = pop[idx]
     gate = rng.random(pop.shape) < f_g
     return base ^ ((d1 ^ d2) & gate)
 
@@ -254,66 +260,75 @@ def _ordered_moves(cache, mask: np.ndarray, first: np.ndarray, second: np.ndarra
 
 
 def ts_local_search(start, cfg: MAConfig, cache, rng, trace=None) -> np.ndarray:
-    """Tabu walk from a non-empty mask; returns the best mask encountered.
+    """Tabu walk from a non-empty 0/1 mask; returns the best mask encountered.
 
     Each iteration reads the current mask's moves in descending fitness,
     ties in neighborhood order, and takes the first move that beats the
     best fitness seen so far (aspiration), else the first whose touched
     positions are all off the tabu list, else the first move, so the walk
-    cannot stall. The taken move's positions are tabu for the next cfg.tl
-    iterations. Accepted moves may be worse than the current mask; that is
-    the escape mechanism.
+    cannot stall. While every position is tabu no move can pass the second
+    test, so the list is not scanned. The taken move's positions are tabu
+    for the next cfg.tl iterations. Accepted moves may be worse than the
+    current mask; that is the escape mechanism.
 
-    A neighborhood of at most 500 moves is scored once, on the mask's first
-    visit, and stored in cache.neighborhoods under the mask's bytes as a
-    list of (fitness, first, second) triples in that order. A larger one is
-    rebuilt on every visit and a sample of 500 of its moves is scored. A NaN
-    fitness in a neighborhood raises ValueError naming the mask.
+    The current mask is a bytearray whose bytes key cache.neighborhoods. A
+    neighborhood of at most 500 moves is scored once, on the mask's first
+    visit, and stored there as a list of (fitness, first, second) triples in
+    that order. A larger one is rebuilt on every visit and a sample of 500
+    of its moves is scored. A NaN fitness in a neighborhood raises
+    ValueError naming the mask.
 
     `trace`, if given, receives (iteration, touched_positions, fitness) per
     accepted move.
     """
-    current = np.asarray(start, dtype=np.uint8).copy()
-    if not current.any():
+    start = as_mask(start)
+    if not start.any():
         raise ValueError("empty start mask")
-    n = current.size
-    best = current
-    best_f = cache(current)
+    current = bytearray(start)
+    n = len(current)
+    best = current.copy()
+    best_f = cache(start)
     table = cache.neighborhoods
+    tl = cfg.tl
     # expiry[p]: first iteration at which position p is free again; slot n
-    # is the flips' second position and is never tabu.
+    # is the flips' second position and is never tabu. No position is free
+    # before iteration free_from, a lower bound on min(expiry[:n]).
     expiry = [0] * (n + 1)
+    free_from = 0
     for it in range(1, cfg.ts_iters + 1):
-        key = current.tobytes()
+        key = bytes(current)
         moves = table.get(key)
         if moves is None:
-            first, second = _neighborhood(current)
+            mask = np.frombuffer(key, dtype=np.uint8)
+            first, second = _neighborhood(mask)
             if first.size == 0:
                 break
             if first.size > _TS_CANDIDATE_CAP:
                 pick = rng.choice(first.size, size=_TS_CANDIDATE_CAP, replace=False)
                 pick.sort()
-                moves = _ordered_moves(cache, current, first[pick], second[pick])
+                moves = _ordered_moves(cache, mask, first[pick], second[pick])
             else:
-                moves = table[key] = _ordered_moves(cache, current, first, second)
+                moves = table[key] = _ordered_moves(cache, mask, first, second)
         chosen_f, a, b = moves[0]
         if not chosen_f > best_f:
-            for chosen_f, a, b in moves:
-                if expiry[a] <= it and expiry[b] <= it:
-                    break
-            else:
-                chosen_f, a, b = moves[0]
-        current = current.copy()
+            if free_from <= it:
+                free_from = min(expiry[:n])
+            if free_from <= it:
+                for chosen_f, a, b in moves:
+                    if expiry[a] <= it and expiry[b] <= it:
+                        break
+                else:
+                    chosen_f, a, b = moves[0]
         move = (a,) if b == n else (a, b)
         for p in move:
             current[p] ^= 1
-            expiry[p] = it + cfg.tl
+            expiry[p] = it + tl
         if chosen_f > best_f:
-            best = current
+            best = current.copy()
             best_f = chosen_f
         if trace is not None:
             trace.append((it, move, chosen_f))
-    return best
+    return np.frombuffer(best, dtype=np.uint8)
 
 
 def repair_empty(masks: np.ndarray, rng) -> np.ndarray:

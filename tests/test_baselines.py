@@ -57,6 +57,13 @@ class TestBaselineConfig:
         with pytest.raises(ValueError, match="g_max"):
             BaselineConfig(g_max=-1)
 
+    def test_int_fields_reject_other_types(self):
+        for key in ("np", "g_max", "seed"):
+            for bad in (4.5, 8.0, True):
+                with pytest.raises(ValueError, match=f"{key} must be an integer, got {bad!r}"):
+                    BaselineConfig(**{key: bad})
+        assert type(BaselineConfig(np=np.int64(8)).np) is int
+
     def test_fitness_stop_not_nan(self):
         with pytest.raises(ValueError, match="fitness_stop must not be NaN"):
             BaselineConfig(fitness_stop=float("nan"))

@@ -496,3 +496,8 @@ class TestBounds:
                 KernelConfig(delta=bad)
         with pytest.raises(ValueError, match="n_k"):
             KernelConfig(n_k=0)
+        # n_k = 1.5 or True used to construct, then fail inside numpy
+        for bad in (1.5, 3.0, True):
+            with pytest.raises(ValueError, match=f"n_k must be an integer, got {bad!r}"):
+                KernelConfig(n_k=bad)
+        assert type(KernelConfig(n_k=np.int64(2)).n_k) is int

@@ -101,6 +101,22 @@ class TestMAConfig:
         for stop in (float("inf"), float("-inf")):
             assert MAConfig(fitness_stop=stop).fitness_stop == stop
 
+    @pytest.mark.parametrize("key", ["np", "g_max", "tl", "ts_iters", "init_neighbors", "seed"])
+    def test_int_fields_reject_other_types(self, key):
+        # a fractional tl used to become a fractional tabu tenure, and a
+        # fractional np or ts_iters a TypeError deep inside the run
+        for bad in (4.5, 8.0, True, "8", None):
+            with pytest.raises(ValueError, match=f"{key} must be an integer, got {bad!r}"):
+                MAConfig(**{key: bad})
+
+    def test_numpy_integers_become_ints(self):
+        # a uint8 tl used to overflow the walk's expiry sum after 253 iterations
+        cfg = MAConfig(np=np.int64(5), tl=np.uint8(3), ts_iters=np.int32(300))
+        assert (cfg.np, cfg.tl, cfg.ts_iters) == (5, 3, 300)
+        assert all(type(v) is int for v in (cfg.np, cfg.tl, cfg.ts_iters))
+        ts_local_search(bits("10101"), cfg, FunctionCache(lambda m: float(m.sum() % 3)),
+                        np.random.default_rng(0))
+
 
 class TestGroupVariance:
     def test_hand_value(self):
@@ -204,13 +220,25 @@ class TestMutation:
 
     def test_roles_follow_ascending_keys(self):
         # the base is the row with the smallest of np - 1 keys, the row's own
-        # index skipped: the first draw, shaped (np, np - 1)
-        pop = np.eye(6, dtype=np.uint8)
-        keys = np.random.default_rng(3).random((6, 5))
-        base = keys.argmin(axis=1)
-        base += base >= np.arange(6)
-        out = bde_mutate(pop, 0.0, np.random.default_rng(3))
-        assert out.tolist() == pop[base].tolist()
+        # index skipped, and the donors the rows with the next two: the first
+        # draw, shaped (np, np - 1). One-hot rows show the base at rate 0 and
+        # the set of all three (base ^ d1 ^ d2) at rate 1
+        for n_pop in (4, 6, 80):
+            pop = np.eye(n_pop, dtype=np.uint8)
+            keys = np.random.default_rng(3).random((n_pop, n_pop - 1))
+            roles = keys.argsort(axis=1)[:, :3]
+            roles += roles >= np.arange(n_pop)[:, None]
+            out = bde_mutate(pop, 0.0, np.random.default_rng(3))
+            assert out.tolist() == pop[roles[:, 0]].tolist()
+            out = bde_mutate(pop, 1.0, np.random.default_rng(3))
+            assert [set(np.flatnonzero(row).tolist()) for row in out] == [
+                set(r) for r in roles.tolist()
+            ]
+
+    def test_fewer_than_four_rows_rejected(self):
+        # three rows leave two keys per row, too few for three distinct roles
+        with pytest.raises(ValueError, match="at least 4 rows, got 3"):
+            bde_mutate(np.eye(3, dtype=np.uint8), 0.5, np.random.default_rng(0))
 
 
 class TestCrossover:
@@ -366,6 +394,44 @@ class TestTabuSearch:
             ts_local_search(bits("000"), MAConfig(), FunctionCache(lambda m: 0.0),
                             np.random.default_rng(0))
 
+    @pytest.mark.parametrize("start", [[0.5, 1, 1], [2, 1, 0], [[1, 0, 1]]])
+    def test_non_mask_start_rejected(self, start):
+        # [0.5, 1, 1] used to be cast to uint8 and walked from [0, 1, 1]
+        with pytest.raises(ValueError, match="mask"):
+            ts_local_search(np.array(start), MAConfig(), FunctionCache(lambda m: 0.0),
+                            np.random.default_rng(0))
+
+    def test_all_tabu_iterations_scan_no_moves(self):
+        # with a tenure longer than the walk, a position stays tabu once
+        # touched; an iteration whose first move does not aspire scans its
+        # move list only while some position is still free
+        n = 5
+        f = rounded_weight_fitness(n, 2)
+        fn = FunctionCache(f)
+        start = random_start(n, 2)
+        cfg = MAConfig(tl=1000, ts_iters=60)
+        ts_local_search(start, cfg, fn, np.random.default_rng(0))
+        scans = []
+
+        class Moves(list):
+            def __iter__(self):
+                scans.append(1)
+                return super().__iter__()
+
+        fn.neighborhoods = {key: Moves(moves) for key, moves in fn.neighborhoods.items()}
+        trace = []
+        ts_local_search(start, cfg, fn, np.random.default_rng(0), trace=trace)
+        best_f, touched, idle, expected = f(start), set(), 0, 0
+        for _, move, chosen_f in trace:
+            if chosen_f > best_f:
+                best_f = chosen_f
+            else:
+                idle += 1
+                expected += len(touched) < n
+            touched.update(move)
+        assert len(touched) == n
+        assert len(scans) == expected < idle
+
     def test_zero_iterations_returns_start(self):
         cfg = MAConfig(ts_iters=0)
         start = bits("101")
@@ -414,12 +480,13 @@ class TestTabuMatchesReference:
 
     @given(
         n=st.integers(1, 50),
-        tl=st.integers(0, 12),
+        tl=st.integers(0, 40),
         iters=st.integers(0, 25),
         seed=st.integers(0, 2**32 - 1),
     )
     @example(n=48, tl=3, iters=8, seed=1)
     @example(n=3, tl=10, iters=12, seed=7)
+    @example(n=4, tl=30, iters=60, seed=2)
     @settings(max_examples=60, deadline=None)
     def test_plain_callable(self, n, tl, iters, seed):
         f = rounded_weight_fitness(n, seed)
