@@ -18,8 +18,8 @@ from statistics import fmean
 
 import numpy as np
 
-from .criterion import KernelConfig, check_int_fields
-from .datasets import Dataset
+from .criterion import KernelConfig
+from .datasets import Dataset, check_int_fields
 from .memetic import (
     MAConfig,
     SelectionResult,

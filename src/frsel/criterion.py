@@ -26,12 +26,10 @@ score inside its bounds on tiny datasets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
-from typing import get_type_hints
 
 import numpy as np
 
-from .datasets import Dataset
+from .datasets import Dataset, check_int_fields
 
 # Above this many float64 elements, the class-pair distance store is not
 # precomputed and each evaluation builds its cross-class distances itself.
@@ -44,21 +42,6 @@ _STORE_BUDGET = 8_000_000
 # row is wider) and, at a quarter, the neighbours of one tail batch (at
 # least one chunk), so the kernel's buffers stay near 2 MB.
 _MASK_CHUNK_BUDGET = 1 << 16
-
-
-def check_int_fields(cfg) -> None:
-    """Reject a bool or non-integer in any int field of a config dataclass.
-
-    The error names the first offending field. A NumPy integer passes and is
-    stored as a Python int, so sums such as a tabu expiry cannot overflow it.
-    """
-    for name, kind in get_type_hints(type(cfg)).items():
-        value = getattr(cfg, name)
-        if kind is not int:
-            continue
-        if isinstance(value, bool) or not isinstance(value, Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        object.__setattr__(cfg, name, int(value))
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from numbers import Integral
 
 import numpy as np
 
@@ -241,6 +242,23 @@ def save_csv(ds: Dataset, path) -> None:
         fh.write(csv_text(ds))
 
 
+def check_int_fields(cfg) -> None:
+    """Reject a bool or non-integer in any int field of a config dataclass.
+
+    An int field is one annotated `int`, a string under postponed
+    annotations. The error names the first offending field. A NumPy integer
+    passes and is stored as a Python int, so sums such as a tabu expiry
+    cannot overflow it.
+    """
+    for field in fields(cfg):
+        if field.type not in (int, "int"):
+            continue
+        value = getattr(cfg, field.name)
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise ValueError(f"{field.name} must be an integer, got {value!r}")
+        object.__setattr__(cfg, field.name, int(value))
+
+
 @dataclass(frozen=True)
 class SynthSpec:
     """Shape of a two-class synthetic cluster dataset.
@@ -257,6 +275,7 @@ class SynthSpec:
     noise_std: float = 1.0
 
     def __post_init__(self) -> None:
+        check_int_fields(self)
         if self.n_informative < 1:
             raise ValueError("n_informative must be at least 1")
         if self.n_noise < 0:

@@ -26,8 +26,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .criterion import CriterionEngine, KernelConfig, as_mask, check_int_fields, mask_to_hex
-from .datasets import Dataset
+from .criterion import CriterionEngine, KernelConfig, as_mask, mask_to_hex
+from .datasets import Dataset, check_int_fields
 
 # Fitness assigned to the all-zeros mask: strictly below the criterion's
 # lower bound of -0.5, so an empty subset can never win a comparison.

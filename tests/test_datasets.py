@@ -261,6 +261,12 @@ class TestSynth:
             for bad in (-1.0, float("inf"), float("nan")):
                 with pytest.raises(ValueError, match=f"{name} must be non-negative and finite"):
                     SynthSpec(**{name: bad})
+        # n_noise = 2.5 used to construct, then fail inside numpy; True
+        # used to give one informative column
+        for name in ("n_informative", "n_noise", "samples_per_class"):
+            for bad in (2.5, 4.0, True):
+                with pytest.raises(ValueError, match=f"{name} must be an integer, got {bad!r}"):
+                    SynthSpec(**{name: bad})
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=15, deadline=None)
