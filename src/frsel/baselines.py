@@ -19,7 +19,7 @@ from statistics import fmean
 import numpy as np
 
 from .criterion import KernelConfig
-from .datasets import Dataset, check_int_fields
+from .datasets import Dataset, check_fields
 from .memetic import (
     MAConfig,
     SelectionResult,
@@ -67,7 +67,7 @@ class BaselineConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        check_int_fields(self)
+        check_fields(self)
         if self.kind not in BASELINE_KINDS:
             raise ValueError(f"kind must be one of {BASELINE_KINDS}, got {self.kind!r}")
         minimum = 4 if self.kind == "BDE" else 2

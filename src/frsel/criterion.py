@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import Dataset, check_int_fields
+from .datasets import Dataset, check_fields
 
 # Above this many float64 elements, the class-pair distance store is not
 # precomputed and each evaluation builds its cross-class distances itself.
@@ -60,7 +60,7 @@ class KernelConfig:
     n_k: int = 3
 
     def __post_init__(self) -> None:
-        check_int_fields(self)
+        check_fields(self)
         if not 0 < self.delta < np.inf:
             raise ValueError("delta must be positive and finite")
         if self.n_k < 1:
@@ -189,8 +189,6 @@ def approx_memberships(
     if not inside.any():
         raise ValueError(f"class {class_id} is empty")
     outside = ~inside
-    if not outside.any():
-        raise ValueError("no outside-class samples")
     d2 = _column_sq_dists(ds.samples[:, sel], ds.samples[i:i + 1, sel])[:, 0]
     k = np.exp(-d2 / _effective_delta(cfg, sel.size))
     low = np.sqrt(np.maximum(0.0, 1.0 - k * k))

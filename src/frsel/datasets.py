@@ -6,7 +6,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, fields
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -165,11 +165,13 @@ def _plain(cell: str) -> str:
 def load_csv(path) -> Dataset:
     """Read a UTF-8 comma-separated file with a header row into a Dataset.
 
+    A leading byte-order mark, as spreadsheet exports write, is skipped.
+
     Exactly one column must be named "label" and hold integer class ids; all
     other columns are parsed as finite float64 features. Malformed or
     non-finite cells and ragged rows are reported with their file position.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]
@@ -242,21 +244,36 @@ def save_csv(ds: Dataset, path) -> None:
         fh.write(csv_text(ds))
 
 
-def check_int_fields(cfg) -> None:
-    """Reject a bool or non-integer in any int field of a config dataclass.
+# Annotation name -> (stored type, accepted types, what the error asks for).
+# np.bool_ is neither Integral nor Real, and a bool is never taken as a number.
+_FIELD_RULES = {
+    "int": (int, Integral, "an integer"),
+    "float": (float, Real, "a real number"),
+    "bool": (bool, (bool, np.bool_), "a bool"),
+}
 
-    An int field is one annotated `int`, a string under postponed
-    annotations. The error names the first offending field. A NumPy integer
-    passes and is stored as a Python int, so sums such as a tabu expiry
-    cannot overflow it.
+
+def check_fields(cfg) -> None:
+    """Reject a value of the wrong type in an int, float or bool field.
+
+    A field's rule follows its annotation, a string under postponed
+    annotations: an int field takes an integer, a float field a real number
+    and a bool field a bool or np.bool_. The value is stored as that Python
+    type, so a NumPy integer cannot overflow a sum such as a tabu expiry.
+    The ValueError names the first offending field.
     """
     for field in fields(cfg):
-        if field.type not in (int, "int"):
+        rule = _FIELD_RULES.get(getattr(field.type, "__name__", field.type))
+        if rule is None:
             continue
+        cast, accepted, wanted = rule
         value = getattr(cfg, field.name)
-        if isinstance(value, bool) or not isinstance(value, Integral):
-            raise ValueError(f"{field.name} must be an integer, got {value!r}")
-        object.__setattr__(cfg, field.name, int(value))
+        if not isinstance(value, accepted) or (isinstance(value, bool) and cast is not bool):
+            raise ValueError(f"{field.name} must be {wanted}, got {value!r}")
+        try:
+            object.__setattr__(cfg, field.name, cast(value))
+        except OverflowError:
+            raise ValueError(f"{field.name} is too large for a float") from None
 
 
 @dataclass(frozen=True)
@@ -275,7 +292,7 @@ class SynthSpec:
     noise_std: float = 1.0
 
     def __post_init__(self) -> None:
-        check_int_fields(self)
+        check_fields(self)
         if self.n_informative < 1:
             raise ValueError("n_informative must be at least 1")
         if self.n_noise < 0:
@@ -358,29 +375,6 @@ _CATALOG_ROWS: tuple[tuple[str, str], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class FeatureCatalog:
-    """Ordered (code, description) records naming the 33 stock input features."""
-
-    entries: tuple[tuple[str, str], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.entries) != 33:
-            raise ValueError(f"expected 33 entries, got {len(self.entries)}")
-        expected = [f"Tz{i}" for i in range(1, 34)]
-        if [code for code, _ in self.entries] != expected:
-            raise ValueError("entry codes must be Tz1..Tz33 in order")
-
-    def codes(self) -> list[str]:
-        return [code for code, _ in self.entries]
-
-    def description(self, code: str) -> str:
-        for c, text in self.entries:
-            if c == code:
-                return text
-        raise KeyError(code)
-
-
-def catalog() -> FeatureCatalog:
-    """The full 33-entry feature catalog."""
-    return FeatureCatalog(entries=_CATALOG_ROWS)
+def catalog() -> dict[str, str]:
+    """The 33-entry feature catalog: code -> description, Tz1..Tz33 in order."""
+    return dict(_CATALOG_ROWS)

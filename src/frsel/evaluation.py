@@ -75,8 +75,6 @@ def knn_predict(
     if k < 1:
         raise ValueError("k must be at least 1")
     sel = _selected(mask, train.n_features)
-    if train.n_samples == 0:
-        raise ValueError("empty training set")
     d2 = _column_sq_dists(test.samples[:, sel], train.samples[:, sel])
     k_eff = min(k, train.n_samples)
     order = np.argsort(d2, axis=1, kind="stable")[:, :k_eff]

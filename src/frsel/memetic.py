@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .criterion import CriterionEngine, KernelConfig, as_mask, mask_to_hex
-from .datasets import Dataset, check_int_fields
+from .datasets import Dataset, check_fields
 
 # Fitness assigned to the all-zeros mask: strictly below the criterion's
 # lower bound of -0.5, so an empty subset can never win a comparison.
@@ -57,7 +57,7 @@ class MAConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        check_int_fields(self)
+        check_fields(self)
         if self.np < 4:
             raise ValueError("np must be at least 4 (mutation draws 3 donors)")
         if not 0 < self.f_min <= self.f_max <= 1:
@@ -153,11 +153,6 @@ class FitnessCache:
             table.update(zip(todo, values.tolist()))
             self.evaluations += len(todo)
         return [table[key] for key in keys]
-
-
-def fitness(mask, ds: Dataset, kcfg: KernelConfig = KernelConfig()) -> float:
-    """Criterion value of a 0/1 mask; the empty mask gets the -1.0 sentinel."""
-    return FitnessCache(ds, kcfg)(mask)
 
 
 def group_variance(fitnesses) -> float:

@@ -54,10 +54,10 @@ def exhaustive_best(
     )
 
 
-def oracle_to_dict(result: OracleResult, feature_names=None) -> dict:
-    """JSON-ready form of an OracleResult: its fields, best_mask as hex."""
+def oracle_to_dict(result: OracleResult, feature_names) -> dict:
+    """JSON-ready form of an OracleResult: its fields, best_mask as hex, then
+    best_features, the names of the selected columns."""
     out = {f.name: getattr(result, f.name) for f in fields(result)}
     out["best_mask"] = mask_to_hex(result.best_mask)
-    if feature_names is not None:
-        out["best_features"] = mask_names(result.best_mask, feature_names)
+    out["best_features"] = mask_names(result.best_mask, feature_names)
     return out

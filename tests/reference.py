@@ -5,9 +5,9 @@ in plain Python, kept deliberately free of numpy and of the package's own
 distance, kernel and neighbor code, so equivalence tests compare two
 genuinely independent implementations. Its inputs are plain nested lists.
 
-dense_evaluate and find_neighbors are the criterion engine as it was before
-the class-pair distance store: the full n x n squared-distance matrix summed
-feature by feature, np.ix_ cross-class blocks and a stable argsort per row.
+dense_evaluate is the criterion engine as it was before the class-pair
+distance store: the full n x n squared-distance matrix summed feature by
+feature, np.ix_ cross-class blocks and a stable argsort per row.
 The engine's values must equal dense_evaluate's bit for bit.
 
 reference_ts_local_search is the list-based tabu walk that the array-native
@@ -23,7 +23,6 @@ best mask, evaluation count, best fitness and runner-up fitness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,13 +101,6 @@ def _dense_sq_dists(ds, mask) -> np.ndarray:
     return stack.sum(axis=0)
 
 
-def _cross_blocks(ds, d2, class_id):
-    """Members of a class, and the (outsiders, members) block of d2."""
-    members = np.flatnonzero(ds.labels == class_id)
-    outsiders = np.flatnonzero(ds.labels != class_id)
-    return members, d2[np.ix_(outsiders, members)]
-
-
 def dense_evaluate(ds, mask, cfg) -> tuple[float, float, float]:
     """Return (g_gamma, g_omega, gc) for one mask the dense way."""
     sel = np.flatnonzero(np.asarray(mask))
@@ -117,7 +109,8 @@ def dense_evaluate(ds, mask, cfg) -> tuple[float, float, float]:
     gamma_total = 0.0
     omega_total = 0.0
     for d in ds.class_ids:
-        members, block = _cross_blocks(ds, d2, d)
+        members = np.flatnonzero(ds.labels == d)
+        block = d2[np.ix_(np.flatnonzero(ds.labels != d), members)]
         c = min(cfg.n_k, members.size)
         order = np.argsort(block, axis=1, kind="stable")[:, :c]
         near = np.take_along_axis(block, order, axis=1)
@@ -129,31 +122,6 @@ def dense_evaluate(ds, mask, cfg) -> tuple[float, float, float]:
     g_gamma = gamma_total / denom
     g_omega = omega_total / denom
     return g_gamma, g_omega, (g_gamma + g_omega) / 2.0
-
-
-@dataclass(frozen=True)
-class NeighborSets:
-    """Per sample: class id -> indices of its nearest samples of that class.
-
-    Lists cover every class other than the sample's own; within a list,
-    distances are non-decreasing and distance ties are broken by ascending
-    sample index. A list is shorter than n_k when its class is smaller.
-    """
-
-    cross: tuple[dict[int, tuple[int, ...]], ...]
-
-
-def find_neighbors(ds, mask, cfg) -> NeighborSets:
-    """Cross-class nearest-neighbor index lists for every sample."""
-    d2 = _dense_sq_dists(ds, mask)
-    per_sample: list[dict[int, tuple[int, ...]]] = [{} for _ in range(ds.n_samples)]
-    for d in ds.class_ids:
-        members, block = _cross_blocks(ds, d2, d)
-        c = min(cfg.n_k, members.size)
-        chosen = members[np.argsort(block, axis=1, kind="stable")[:, :c]]
-        for row, i in enumerate(np.flatnonzero(ds.labels != d)):
-            per_sample[int(i)][int(d)] = tuple(int(v) for v in chosen[row])
-    return NeighborSets(cross=tuple(per_sample))
 
 
 # Largest tabu neighborhood scanned exactly; bigger ones are subsampled.

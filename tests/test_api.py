@@ -31,6 +31,22 @@ def test_readme_python_api_block_runs(capsys):
     assert len(capsys.readouterr().out.splitlines()) == 2
 
 
+def test_readme_module_names_exist():
+    # in "Everything else is imported from its module", each backticked name
+    # after `frsel.<module>` is an attribute of that module
+    text = README.read_text(encoding="utf-8")
+    paragraph = text.split("Everything else is imported from its module", 1)[1]
+    paragraph = paragraph.split("\n\n", 1)[0]
+    module, checked = None, 0
+    for name in re.findall(r"`([^`]*)`", paragraph):
+        if name.startswith("frsel."):
+            module = importlib.import_module(name)
+        else:
+            assert hasattr(module, name), f"{module.__name__} has no {name!r}"
+            checked += 1
+    assert checked >= 10
+
+
 def test_readme_configuration_keys_exist():
     # a dotted key in backticks under "Configuration" names a live config key
     from frsel.cli import DEFAULTS

@@ -25,7 +25,7 @@ from frsel.criterion import (
 )
 from frsel.evaluation import knn_predict
 from frsel.memetic import FitnessCache
-from reference import dense_evaluate, find_neighbors, random_grid_case, reference_criterion
+from reference import dense_evaluate, random_grid_case, reference_criterion
 
 N1 = KernelConfig(delta=1.0, per_feature_normalization=True, n_k=1)
 
@@ -198,40 +198,6 @@ class TestApproxMemberships:
             for d in (0, 1):
                 vals = approx_memberships(i, d, ds, [1, 1, 0], N1)
                 assert all(0.0 <= v <= 1.0 for v in vals)
-
-
-class TestFindNeighbors:
-    def test_two_samples_short_lists(self):
-        ds = unit_gap_pair()
-        sets = find_neighbors(ds, [1], KernelConfig(n_k=3))
-        assert sets.cross[0] == {-1: (1,)}
-        assert sets.cross[1] == {1: (0,)}
-
-    def test_nearest_cross_class(self):
-        ds = separated_quad()
-        sets = find_neighbors(ds, [1], N1)
-        assert sets.cross[0][-1] == (2,)
-        assert sets.cross[3][1] == (1,)
-
-    def test_equidistant_tie_prefers_lower_index(self):
-        # sample 0 (class 0) sits at 0; class-1 members at indices 4 and 7
-        # are both at distance 1.
-        samples = [[0.0], [9.0], [9.5], [10.0], [1.0], [11.0], [12.0], [-1.0]]
-        labels = [0, 0, 0, 0, 1, 0, 0, 1]
-        ds = make_dataset(samples, labels)
-        sets = find_neighbors(ds, [1], N1)
-        assert sets.cross[0][1] == (4,)
-
-    def test_never_own_index_and_sorted_distances(self):
-        rng = np.random.default_rng(3)
-        ds = make_dataset(rng.normal(size=(15, 2)), rng.integers(0, 3, 15))
-        sets = find_neighbors(ds, [1, 1], KernelConfig(n_k=4))
-        for i, per_class in enumerate(sets.cross):
-            assert ds.labels[i] not in per_class
-            for d, idx in per_class.items():
-                assert i not in idx
-                dists = [np.sum((ds.samples[i] - ds.samples[j]) ** 2) for j in idx]
-                assert all(a <= b + 1e-15 for a, b in zip(dists, dists[1:]))
 
 
 class TestHandValues:

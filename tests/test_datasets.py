@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,10 @@ from hypothesis import strategies as st
 
 from conftest import make_dataset, standardize
 from frsel import (
+    BaselineConfig,
     Dataset,
+    KernelConfig,
+    MAConfig,
     SynthSpec,
     catalog,
     load_csv,
@@ -215,6 +220,22 @@ class TestCsv:
         with pytest.raises(ValueError, match="integer label"):
             load_csv(path)
 
+    @pytest.mark.parametrize("text", [
+        "label,a,b\n1,0.5,1.5\n-1,1.0,2.0\n",
+        "a,b,label\n0.5,1.5,1\n1.0,2.0,-1\n",
+    ], ids=["label-first", "label-last"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, text):
+        # a leading BOM used to hide a first "label" column, or to become
+        # part of the first feature's name
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        want, got = load_csv(plain), load_csv(marked)
+        assert got.feature_names == want.feature_names == ("a", "b")
+        assert np.array_equal(got.samples, want.samples)
+        assert np.array_equal(got.labels, want.labels)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("")
@@ -280,20 +301,53 @@ class TestSynth:
 
 class TestCatalog:
     def test_count_and_order(self):
-        cat = catalog()
-        assert len(cat.entries) == 33
-        assert cat.codes() == [f"Tz{i}" for i in range(1, 34)]
+        assert list(catalog()) == [f"Tz{i}" for i in range(1, 34)]
 
     def test_first_and_last_descriptions(self):
         cat = catalog()
-        assert cat.description("Tz1") == (
+        assert cat["Tz1"] == (
             "Mean value of all the mechanical power before the fault incipient time"
         )
-        assert cat.description("Tz33") == (
+        assert cat["Tz33"] == (
             "Rotor angular velocity of the machine with the biggest difference "
             "relative to the centre of inertia at t_{cl+9c}"
         )
 
     def test_unknown_code(self):
         with pytest.raises(KeyError):
-            catalog().description("Tz99")
+            catalog()["Tz99"]
+
+
+# Every float field of the four config dataclasses.
+FLOAT_FIELDS = [(KernelConfig, "delta")] + [(MAConfig, k) for k in (
+    "f_min", "f_max", "cr_min", "cr_max", "fitness_stop")] + [
+    (BaselineConfig, "fitness_stop"), (SynthSpec, "cluster_separation"),
+    (SynthSpec, "noise_std")]
+
+
+class TestConfigFieldTypes:
+    @pytest.mark.parametrize("cls, name", FLOAT_FIELDS)
+    def test_float_fields(self, cls, name):
+        # delta=True used to be stored as True, delta="2" to raise TypeError
+        for bad in (True, np.False_, "2", None, 1j):
+            with pytest.raises(ValueError, match=f"{name} must be a real number, got {bad!r}"):
+                cls(**{name: bad})
+        default = getattr(cls(), name)
+        for good in (np.float64(default), Fraction(default)):
+            value = getattr(cls(**{name: good}), name)
+            assert type(value) is float and value == default
+
+    def test_whole_number_in_float_field_becomes_float(self):
+        assert type(KernelConfig(delta=2).delta) is float
+        assert type(SynthSpec(cluster_separation=3).cluster_separation) is float
+        with pytest.raises(ValueError, match="delta is too large for a float"):
+            KernelConfig(delta=10**400)
+
+    def test_bool_field(self):
+        # per_feature_normalization="no" used to normalize as if True
+        for bad in ("no", "False", 0, 1, 1.0, None):
+            with pytest.raises(ValueError, match=f"normalization must be a bool, got {bad!r}"):
+                KernelConfig(per_feature_normalization=bad)
+        for good in (np.True_, np.False_, False):
+            value = KernelConfig(per_feature_normalization=good).per_feature_normalization
+            assert type(value) is bool and value == good

@@ -27,7 +27,6 @@ from frsel.memetic import (
     GenerationRecord,
     bde_crossover,
     bde_mutate,
-    fitness,
     init_population,
     repair_empty,
     runlog_record_dict,
@@ -758,6 +757,9 @@ class TestFitnessCache:
         [1.7, 1, 0, 0, 0, 0],
         [1, 0, 0, 0, 0, -1],
         [[1, 0, 0, 0, 0, 0]],
+        [0.5, 0, 0, 0, 0, 0],  # used to score as the empty mask
+        [2, 0, 0, 0, 0, 0],
+        [1, 0, 0, 0, 0, 0, 0],
     ])
     def test_rejects_non_mask_input(self, bad):
         cache = FitnessCache(tiny_dataset(), KernelConfig())
@@ -791,6 +793,12 @@ class TestFitnessCache:
 
 
 class TestFitness:
+    """One-shot scoring: a fresh FitnessCache called on a single mask."""
+
+    @staticmethod
+    def fitness(mask, ds, kcfg=KernelConfig()):
+        return FitnessCache(ds, kcfg)(mask)
+
     @pytest.mark.parametrize("bad", [
         [0.5, 0, 0, 0, 0, 0],  # used to score as the empty mask
         [1.7, 0, 0, 0, 0, 0],  # used to score as [1, 0, ...]
@@ -800,15 +808,15 @@ class TestFitness:
     ])
     def test_rejects_non_mask_input(self, bad):
         with pytest.raises(ValueError):
-            fitness(bad, tiny_dataset(), KernelConfig())
+            self.fitness(bad, tiny_dataset(), KernelConfig())
 
     def test_accepts_masks_of_any_numeric_dtype(self):
         ds = tiny_dataset()
-        expected = fitness(bits("011000"), ds)
-        assert fitness([0, 1, 1, 0, 0, 0], ds) == expected
-        assert fitness(bits("011000").astype(bool), ds) == expected
-        assert fitness([0.0, 1.0, 1.0, 0.0, 0.0, 0.0], ds) == expected
-        assert fitness(bits("000000"), ds) == EMPTY_MASK_FITNESS
+        expected = self.fitness(bits("011000"), ds)
+        assert self.fitness([0, 1, 1, 0, 0, 0], ds) == expected
+        assert self.fitness(bits("011000").astype(bool), ds) == expected
+        assert self.fitness([0.0, 1.0, 1.0, 0.0, 0.0, 0.0], ds) == expected
+        assert self.fitness(bits("000000"), ds) == EMPTY_MASK_FITNESS
 
 
 class TestRunMA:
@@ -855,7 +863,7 @@ class TestRunMA:
         kcfg = KernelConfig()
         result = run_ma(ds, kcfg, MAConfig(**self.CFG))
         assert popcount(result.best_mask) >= 1
-        assert result.best_fitness == fitness(result.best_mask, ds, kcfg)
+        assert result.best_fitness == FitnessCache(ds, kcfg)(result.best_mask)
 
     def test_unreachable_stop_runs_all_generations(self):
         ds = tiny_dataset()
@@ -878,7 +886,7 @@ class TestRunMA:
         result = run_ma(ds, kcfg, cfg)
         assert result.log == []
         assert result.terminated_by == "generation_limit"
-        assert result.best_fitness == fitness(result.best_mask, ds, kcfg)
+        assert result.best_fitness == FitnessCache(ds, kcfg)(result.best_mask)
 
     def test_zero_ts_iters_never_call_local_search(self, monkeypatch):
         def boom(*args, **kwargs):
