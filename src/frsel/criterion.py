@@ -25,6 +25,7 @@ score inside its bounds on tiny datasets.
 
 from __future__ import annotations
 
+from concurrent.futures import Executor
 from dataclasses import dataclass
 
 import numpy as np
@@ -393,6 +394,21 @@ class CriterionEngine:
         for rows, g_gamma, g_omega in self._score(stack):
             gc[rows] = (g_gamma + g_omega) / 2.0
         return gc
+
+    def evaluate_split(self, masks, parts: int, helpers: Executor | None) -> np.ndarray:
+        """evaluate_many's gc of each row, from at most `parts` contiguous,
+        non-empty slices of the stack: the first scored in the calling
+        thread, each other one on `helpers`, which needs parts - 1 threads
+        to run them all at once. A row's score does not depend on the stack
+        it is in, so the bits do not depend on `parts`.
+        """
+        parts = min(len(masks), parts)
+        if parts < 2:
+            return self.evaluate_many(masks)
+        slices = np.array_split(masks, parts)
+        rest = [helpers.submit(self.evaluate_many, part) for part in slices[1:]]
+        first = self.evaluate_many(slices[0])
+        return np.concatenate([first, *(future.result() for future in rest)])
 
 
 def g_gamma(ds: Dataset, mask, cfg: KernelConfig = KernelConfig()) -> float:

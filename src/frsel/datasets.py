@@ -21,14 +21,57 @@ ZERO_STD = 1e-12
 INFORMATIVE_SUFFIX = "!inf"
 
 
+# Bounds of an int64 label.
+_INT64 = np.iinfo(np.int64)
+
+
+def sorted_distinct(values) -> np.ndarray:
+    """The distinct values of a NaN-free array, sorted and flattened, as
+    np.unique returns them. np.unique is not used: in NumPy 2.4 its first
+    call imports numpy.ma, which frsel otherwise never loads."""
+    flat = np.sort(np.ravel(values))
+    keep = np.empty(flat.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(flat[1:], flat[:-1], out=keep[1:])
+    return flat[keep]
+
+
+def _int64_labels(values) -> np.ndarray:
+    """Labels as int64, or a ValueError naming the first row that is not a
+    whole number within the int64 range."""
+    raw = np.asarray(values)
+    if raw.dtype.kind == "f":
+        bad = np.flatnonzero(~np.isfinite(raw) | (raw != np.trunc(raw)))
+        if bad.size:
+            r = bad[0]
+            raise ValueError(f"label {float(raw.flat[r])!r} at row {r} is not a whole number")
+        # 2.0**63 is exact; the float next below it fits int64.
+        out = np.flatnonzero((raw < -(2.0 ** 63)) | (raw >= 2.0 ** 63))
+    elif raw.dtype.kind == "u":
+        out = np.flatnonzero(raw > _INT64.max)
+    elif raw.dtype.kind == "O":
+        # Python ints beyond 64 bits make NumPy fall back to objects.
+        out = [r for r, v in enumerate(raw.flat)
+               if isinstance(v, Integral) and not _INT64.min <= v <= _INT64.max]
+    else:
+        out = ()
+    if len(out):
+        r = out[0]
+        value = raw.flat[r]
+        if isinstance(value, np.generic):
+            value = value.item()
+        raise ValueError(f"label {value!r} at row {r} is outside the int64 range")
+    return np.array(raw, dtype=np.int64)
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Immutable sample matrix with integer class labels and named columns.
 
     samples is float64 of shape (n_samples, n_features), labels is int64 of
     shape (n_samples,). Construction validates shapes, at least one feature
-    column, finiteness, whole-number labels, unique feature names and at
-    least two classes.
+    column, finiteness, whole-number labels within the int64 range, unique
+    feature names and at least two classes.
     """
 
     samples: np.ndarray
@@ -37,13 +80,7 @@ class Dataset:
 
     def __post_init__(self) -> None:
         samples = np.array(self.samples, dtype=np.float64)
-        raw = np.asarray(self.labels)
-        if raw.dtype.kind == "f":
-            bad = np.flatnonzero(~np.isfinite(raw) | (raw != np.trunc(raw)))
-            if bad.size:
-                r = bad[0]
-                raise ValueError(f"label {float(raw.flat[r])!r} at row {r} is not a whole number")
-        labels = np.array(raw, dtype=np.int64)
+        labels = _int64_labels(self.labels)
         if samples.ndim != 2:
             raise ValueError("samples must be a 2-D matrix")
         if samples.shape[1] == 0:
@@ -62,13 +99,15 @@ class Dataset:
             )
         if len(set(names)) != len(names):
             raise ValueError("feature names must be unique")
-        if np.unique(labels).size < 2:
+        class_ids = sorted_distinct(labels)
+        if class_ids.size < 2:
             raise ValueError("fewer than 2 classes")
-        samples.flags.writeable = False
-        labels.flags.writeable = False
+        for array in (samples, labels, class_ids):
+            array.flags.writeable = False
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "feature_names", names)
+        object.__setattr__(self, "_class_ids", class_ids)
 
     @property
     def n_samples(self) -> int:
@@ -80,8 +119,8 @@ class Dataset:
 
     @property
     def class_ids(self) -> np.ndarray:
-        """Sorted unique class labels."""
-        return np.unique(self.labels)
+        """Sorted distinct class labels, computed once, read-only."""
+        return self._class_ids
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,12 +237,18 @@ def load_csv(path) -> Dataset:
             for j, cell in enumerate(cells):
                 if j == label_pos:
                     try:
-                        labels.append(int(_plain(cell)))
+                        label = int(_plain(cell))
                     except ValueError:
                         raise ValueError(
                             f"{path}: line {line_no}, column {header[j]!r}: "
                             f"{cell!r} is not an integer label"
                         ) from None
+                    if not _INT64.min <= label <= _INT64.max:
+                        raise ValueError(
+                            f"{path}: line {line_no}, column {header[j]!r}: "
+                            f"{cell!r} is outside the int64 range"
+                        )
+                    labels.append(label)
                 else:
                     try:
                         value = float(_plain(cell))

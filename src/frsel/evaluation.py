@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .criterion import _column_sq_dists, _selected, popcount
-from .datasets import Dataset
+from .datasets import Dataset, sorted_distinct
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,18 +93,25 @@ def knn_predict(
 
 
 def confusion(actual, predicted, class_ids=None) -> ConfusionMatrix:
-    """Tally an actual-vs-predicted confusion matrix."""
+    """Tally an actual-vs-predicted confusion matrix.
+
+    class_ids defaults to the sorted ids that occur; an id outside a given
+    class_ids raises ValueError.
+    """
     actual = np.asarray(actual)
     predicted = np.asarray(predicted)
     if actual.shape != predicted.shape:
         raise ValueError("actual and predicted lengths differ")
     if class_ids is None:
-        class_ids = np.unique(np.concatenate([actual, predicted]))
+        class_ids = sorted_distinct(np.concatenate([actual, predicted]))
     ids = [int(c) for c in class_ids]
     index = {c: i for i, c in enumerate(ids)}
     counts = np.zeros((len(ids), len(ids)), dtype=np.int64)
-    for a, p in zip(actual, predicted):
-        counts[index[int(a)], index[int(p)]] += 1
+    for pair in zip(actual, predicted):
+        a, p = (int(c) for c in pair)
+        if a not in index or p not in index:
+            raise ValueError(f"class id {a if a not in index else p} is not in class_ids {ids}")
+        counts[index[a], index[p]] += 1
     return ConfusionMatrix(class_ids=tuple(ids), counts=counts)
 
 
@@ -137,7 +144,7 @@ def auc(scores, labels) -> float:
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
-    ids = np.unique(labels)
+    ids = sorted_distinct(labels)
     if ids.size != 2:
         raise ValueError(f"auc needs exactly 2 classes present, got {ids.size}")
     pos = scores[labels == ids[1]]
@@ -155,7 +162,7 @@ def eta(a: float, kappa_value: float, auc_value: float) -> float:
 def evaluate_subset(train: Dataset, test: Dataset, mask, k: int = 5) -> MetricsReport:
     """Train-on-train, score-on-test metrics for one mask."""
     predicted, scores = knn_predict(train, test, mask, k)
-    ids = np.unique(np.concatenate([train.class_ids, test.labels, predicted]))
+    ids = sorted_distinct(np.concatenate([train.class_ids, test.labels, predicted]))
     cm = confusion(test.labels, predicted, ids)
     a = accuracy(cm)
     kap = kappa(cm)

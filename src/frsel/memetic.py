@@ -103,13 +103,15 @@ class FitnessCache:
     Keys are the raw mask bytes. `evaluations` counts distinct masks actually
     computed; cache hits do not move it. batch() deduplicates its inputs in
     first-occurrence order, gives the empty mask EMPTY_MASK_FITNESS and
-    scores the other new masks with one evaluate_many call, or with a pool
-    one call per contiguous slice. Per-row scores do not depend on the
-    stack, so the counter and the stored values never depend on the worker
-    count. Masks that are not 0/1 vectors of the dataset's width are
-    rejected before any lookup. `neighborhoods` is the tabu walk's per-mask
-    move table, kept here so it lives exactly as long as the memoized values
-    it mirrors; ts_local_search describes its entries.
+    scores the other new masks with CriterionEngine.evaluate_split: with
+    `workers` above 1, in up to `workers` contiguous slices, the first in
+    the calling thread and the rest on a pool of workers - 1 helper threads.
+    Per-row scores do not depend on the stack, so the counter and the
+    stored values never depend on the worker count. Masks that are not 0/1
+    vectors of the dataset's width are rejected before any lookup.
+    `neighborhoods` is the tabu walk's per-mask move table, kept here so it
+    lives exactly as long as the memoized values it mirrors; ts_local_search
+    describes its entries.
     """
 
     def __init__(self, ds: Dataset, kcfg: KernelConfig, workers: int = 0):
@@ -119,19 +121,12 @@ class FitnessCache:
         self.neighborhoods: dict[bytes, list] = {}
         self.evaluations = 0
         self._workers = workers
-        self._pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+        self._pool = ThreadPoolExecutor(max_workers=workers - 1) if workers > 1 else None
 
     def close(self) -> None:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-
-    def _score(self, stack: np.ndarray) -> np.ndarray:
-        """gc of a stack of non-empty masks, at most one slice per worker."""
-        if self._pool is None:
-            return self._engine.evaluate_many(stack)
-        slices = np.array_split(stack, min(len(stack), self._workers))
-        return np.concatenate(list(self._pool.map(self._engine.evaluate_many, slices)))
 
     def __call__(self, mask) -> float:
         return self.batch(as_mask(mask, self._n_features)[None])[0]
@@ -149,7 +144,7 @@ class FitnessCache:
             live = stack.any(axis=1)
             values = np.full(len(todo), EMPTY_MASK_FITNESS)
             if live.any():
-                values[live] = self._score(stack[live])
+                values[live] = self._engine.evaluate_split(stack[live], self._workers, self._pool)
             table.update(zip(todo, values.tolist()))
             self.evaluations += len(todo)
         return [table[key] for key in keys]

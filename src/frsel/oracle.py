@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -26,6 +28,15 @@ class OracleResult:
     runner_up_fitness: float | None
 
 
+def usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity, where the OS keeps
+    one, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def exhaustive_best(
     ds: Dataset, kcfg: KernelConfig = KernelConfig(), max_n: int = DEFAULT_MAX_N
 ) -> OracleResult:
@@ -36,6 +47,14 @@ def exhaustive_best(
     is reproducible when distinct masks score identically. The runner-up is
     the next mask in that order. The max_n guard caps the exponential sweep,
     whose mask table takes 2^N * N bytes.
+
+    The sweep runs on every core the process may run on (usable_cores): the
+    mask table is cut into that many contiguous slices, the first scored in
+    the calling thread and the others on helper threads that live only for
+    the sweep. Scores do not depend on the cut, so the result does not
+    depend on the core count; CPU affinity (taskset) is the control. Each
+    extra core costs about 2 MB of memory: its kernel chunk buffers and
+    its thread's malloc arena.
     """
     n = ds.n_features
     if n > max_n:
@@ -44,7 +63,10 @@ def exhaustive_best(
     masks = np.empty((ints.size, n), dtype=np.uint8)
     for j in range(n):
         masks[:, j] = (ints >> j) & 1
-    scores = CriterionEngine(ds, kcfg).evaluate_many(masks)
+    engine = CriterionEngine(ds, kcfg)
+    cores = usable_cores()
+    with ThreadPoolExecutor(max_workers=max(1, cores - 1)) as helpers:
+        scores = engine.evaluate_split(masks, cores, helpers)
     order = np.lexsort((masks.sum(axis=1, dtype=np.uint8), -scores))
     return OracleResult(
         best_mask=masks[order[0]].copy(),

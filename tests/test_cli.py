@@ -398,3 +398,17 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip().startswith("frsel ")
+
+    def test_select_leaves_numpy_ma_unloaded(self, small_csv, tmp_path):
+        # np.unique imports numpy.ma on its first call, at a cost of
+        # milliseconds and over a megabyte; a fresh interpreter shows it.
+        argv = ["select", "--data", small_csv, "--out", str(tmp_path / "run"), *FAST_MA]
+        code = ("import sys\nfrom frsel.cli import main\n"
+                f"rc = main({argv!r})\nprint(rc, 'numpy.ma' in sys.modules)")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.stdout.split()[-2:] == ["0", "False"], proc.stderr
+        assert (tmp_path / "run" / "selection.json").is_file()

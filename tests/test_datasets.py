@@ -1,9 +1,11 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import make_dataset, standardize
 from frsel import (
@@ -20,7 +22,7 @@ from frsel import (
     zscore_apply,
     zscore_fit,
 )
-from frsel.datasets import informative_indices
+from frsel.datasets import informative_indices, sorted_distinct
 
 
 class TestDataset:
@@ -58,6 +60,33 @@ class TestDataset:
         assert ds.labels.dtype == np.int64
         assert ds.labels.tolist() == [1, -1, 1]
 
+    @pytest.mark.parametrize("labels", [
+        [0, 2**63],
+        np.array([0.0, 1e19]),
+        [0, 2**64],
+        [0, -2**63 - 1],
+        np.array([0, 2**63], dtype=np.uint64),
+    ], ids=["int-2^63", "float-1e19", "int-2^64", "int-below", "uint64"])
+    def test_rejects_labels_outside_int64(self, labels):
+        # the int64 cast used to wrap them to -2^63, or to raise a bare
+        # OverflowError for 2^64
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="at row 1 is outside the int64 range"):
+                Dataset(samples=[[0.0], [1.0]], labels=labels, feature_names=["a"])
+
+    def test_int64_extremes_are_labels(self):
+        ds = make_dataset([[0.0], [1.0], [2.0]], [2**63 - 1, -2**63, 2**63 - 1])
+        assert ds.labels.tolist() == [2**63 - 1, -2**63, 2**63 - 1]
+        assert ds.class_ids.tolist() == [-2**63, 2**63 - 1]
+
+    def test_class_ids_computed_once_and_read_only(self):
+        ds = make_dataset([[0.0], [1.0], [2.0], [3.0]], [3, -1, 3, 0])
+        assert ds.class_ids is ds.class_ids
+        assert ds.class_ids.tolist() == [-1, 0, 3]
+        with pytest.raises(ValueError):
+            ds.class_ids[0] = 5
+
     def test_rejects_single_class(self):
         with pytest.raises(ValueError, match="fewer than 2 classes"):
             make_dataset([[0.0], [1.0]], [1, 1])
@@ -66,6 +95,34 @@ class TestDataset:
         ds = make_dataset([[0.0], [1.0]], [1, -1])
         with pytest.raises(ValueError):
             ds.samples[0, 0] = 5.0
+
+
+_DISTINCT_INPUTS = st.one_of(
+    hnp.arrays(np.int64, st.integers(0, 40), elements=st.integers(-3, 3)),
+    hnp.arrays(np.int64, st.integers(0, 40),
+               elements=st.sampled_from([-2**63, -2**63 + 1, 0, 2**63 - 2, 2**63 - 1])),
+    hnp.arrays(np.int64, st.integers(1, 40), elements=st.just(-7)),
+    hnp.arrays(np.bool_, st.integers(0, 40)),
+    hnp.arrays(np.float64, st.integers(0, 40),
+               elements=st.floats(allow_nan=False, allow_subnormal=False)),
+    hnp.arrays(np.float64, st.integers(0, 40),
+               elements=st.sampled_from([-1.5, -0.0, 0.0, 2.0, np.inf, -np.inf])),
+)
+
+
+class TestSortedDistinct:
+    @given(_DISTINCT_INPUTS)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_np_unique(self, values):
+        got = sorted_distinct(values)
+        want = np.unique(values)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    def test_leaves_its_input_alone(self):
+        values = np.array([3, -1, 3, 0])
+        assert sorted_distinct(values).tolist() == [-1, 0, 3]
+        assert values.tolist() == [3, -1, 3, 0]
 
 
 class TestZscore:
@@ -218,6 +275,13 @@ class TestCsv:
         path = tmp_path / "t.csv"
         path.write_text("a,label\n1.0,up\n2.0,down\n")
         with pytest.raises(ValueError, match="integer label"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("cell", ["9223372036854775808", "-9223372036854775809"])
+    def test_label_outside_int64_reports_line(self, tmp_path, cell):
+        path = tmp_path / "t.csv"
+        path.write_text(f"a,label\n1.0,0\n2.0,{cell}\n")
+        with pytest.raises(ValueError, match=f"line 3, column 'label': '{cell}' is outside the int64 range"):
             load_csv(path)
 
     @pytest.mark.parametrize("text", [

@@ -105,6 +105,13 @@ class TestConfusion:
         cm = confusion([0, 0], [0, 0], class_ids=[0, 1])
         assert cm.counts.tolist() == [[2, 0], [0, 0]]
 
+    def test_id_outside_class_ids(self):
+        # used to raise a bare KeyError: 2
+        with pytest.raises(ValueError, match=r"class id 2 is not in class_ids \[0, 1\]"):
+            confusion([0, 1], [1, 2], [0, 1])
+        with pytest.raises(ValueError, match="class id 5 is not in"):
+            confusion([5, 1], [1, 0], [0, 1])
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="lengths"):
             confusion([0, 1], [0])

@@ -1,4 +1,5 @@
 import json
+import threading
 from dataclasses import fields
 from itertools import combinations
 
@@ -707,7 +708,7 @@ class TestFitnessCache:
         # Each cached value is the engine's one-mask gc bit for bit, on the
         # stored and the per-call distance path and at any worker count. New
         # masks reach the kernel as one stack, or one non-empty contiguous
-        # slice per worker.
+        # slice per worker, the first scored by the calling thread.
         ds = tiny_dataset()
         rng = np.random.default_rng(4)
         rows = rng.integers(0, 2, (20, 6), dtype=np.uint8)
@@ -715,13 +716,18 @@ class TestFitnessCache:
         stack = stack[rng.permutation(len(stack))]
         distinct = {row.tobytes() for row in stack}
         live = len(distinct) - 1
+        new_rows = np.array([np.frombuffer(key, dtype=np.uint8) for key in
+                             dict.fromkeys(row.tobytes() for row in stack if row.any())])
         lone = next(m for m in map(bits, ("101010", "010101", "110011"))
                     if m.tobytes() not in distinct)
         sizes = []
+        mine = []
         evaluate_many = CriterionEngine.evaluate_many
 
         def spy(engine, masks):
             sizes.append(len(masks))
+            if threading.get_ident() == threading.main_thread().ident:
+                mine.append(masks.copy())
             return evaluate_many(engine, masks)
 
         monkeypatch.setattr(CriterionEngine, "evaluate_many", spy)
@@ -738,9 +744,12 @@ class TestFitnessCache:
                 cache = FitnessCache(ds, KernelConfig(), workers=workers)
                 try:
                     sizes.clear()
+                    mine.clear()
                     assert [v.hex() for v in cache.batch(stack)] == direct(stack)
                     assert cache.evaluations == len(distinct)
                     assert sum(sizes) == live and len(sizes) == max(1, workers) and min(sizes) > 0
+                    head = np.array_split(new_rows, max(1, workers))[0]
+                    assert len(mine) == 1 and np.array_equal(mine[0], head)
                     # One live row beside a cached empty mask.
                     sizes.clear()
                     one = [lone, np.zeros(6, dtype=np.uint8), lone]
@@ -749,6 +758,29 @@ class TestFitnessCache:
                     assert sizes == [1]
                 finally:
                     cache.close()
+
+    def test_fewer_masks_than_workers(self, monkeypatch):
+        # Three new masks and workers=5: three one-row slices, none empty,
+        # on the calling thread and at most two helpers.
+        ds = tiny_dataset()
+        masks = [bits("100000"), bits("010000"), bits("001000")]
+        calls = []
+        evaluate_many = CriterionEngine.evaluate_many
+
+        def spy(engine, stack):
+            calls.append((threading.get_ident(), stack.tolist()))
+            return evaluate_many(engine, stack)
+
+        monkeypatch.setattr(CriterionEngine, "evaluate_many", spy)
+        cache = FitnessCache(ds, KernelConfig(), workers=5)
+        try:
+            values = cache.batch(masks)
+        finally:
+            cache.close()
+        assert sorted(rows for _, rows in calls) == [[m.tolist()] for m in reversed(masks)]
+        assert (threading.get_ident(), [masks[0].tolist()]) in calls
+        assert len({thread for thread, _ in calls}) <= 3
+        assert values == [FitnessCache(ds, KernelConfig())(m) for m in masks]
 
     @pytest.mark.parametrize("bad", [
         [1, 1, 0, 0, 0, 256],

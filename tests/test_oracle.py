@@ -1,3 +1,4 @@
+import threading
 from dataclasses import fields
 
 import numpy as np
@@ -14,6 +15,7 @@ from frsel import (
     run_ma,
     synth_clusters,
 )
+from frsel import oracle
 from frsel.criterion import CriterionEngine
 from frsel.datasets import informative_indices
 from frsel.memetic import FitnessCache
@@ -156,6 +158,51 @@ class TestChunking:
             assert got.evaluated == evaluated, case
             assert repr(got.best_fitness) == repr(best), case
             assert repr(got.runner_up_fitness) == repr(runner_up), case
+
+
+class TestCoreSplit:
+    """The sweep cuts its mask table into one slice per usable core; the
+    calling thread scores the first and helper threads the rest."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """(thread, rows, threads alive) of every evaluate_many call."""
+        log = []
+        evaluate_many = CriterionEngine.evaluate_many
+
+        def spy(engine, masks):
+            log.append((threading.get_ident(), masks.copy(), threading.active_count()))
+            return evaluate_many(engine, masks)
+
+        monkeypatch.setattr(CriterionEngine, "evaluate_many", spy)
+        return log
+
+    def test_result_does_not_depend_on_core_count(self, calls, monkeypatch):
+        ds = standardize(synth_clusters(SynthSpec(n_noise=5, samples_per_class=30), 3))
+        alive = threading.active_count()
+        results = []
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(oracle, "usable_cores", lambda: cores)
+            calls.clear()
+            result = exhaustive_best(ds, KCFG)
+            results.append((result.best_mask.tobytes(), result.best_fitness.hex(),
+                            result.runner_up_fitness.hex(), result.evaluated))
+            assert len(calls) == cores and min(len(rows) for _, rows, _ in calls) > 0
+            assert sum(len(rows) for _, rows, _ in calls) == 2 ** 8 - 1
+            assert len({thread for thread, _, _ in calls}) <= cores
+            assert max(count for _, _, count in calls) <= alive + cores - 1
+            first = [rows for thread, rows, _ in calls if thread == threading.get_ident()]
+            assert len(first) == 1 and first[0][0].tolist() == [1] + [0] * 7
+            assert threading.active_count() == alive
+        assert results[0] == results[1] == results[2]
+
+    def test_one_mask_starts_no_thread(self, calls, monkeypatch):
+        monkeypatch.setattr(oracle, "usable_cores", lambda: 2)
+        alive = threading.active_count()
+        result = exhaustive_best(make_dataset([[0.0], [1.0]], [0, 1]), KCFG)
+        assert result.evaluated == 1
+        assert [(thread, rows.tolist(), count) for thread, rows, count in calls] == [
+            (threading.get_ident(), [[1]], alive)]
 
 
 class TestMAAgainstOracle:
