@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import time
 from dataclasses import dataclass, fields, replace
-from statistics import fmean
 
 import numpy as np
 
@@ -182,6 +182,12 @@ def check_kinds(kinds) -> None:
             raise ValueError(f"optimizer kind {kind!r} is repeated")
 
 
+def _mean(values: list[float]) -> float:
+    """Mean of a non-empty list, with the bits of statistics.fmean, which
+    frsel does not import: the exactly rounded sum over the count."""
+    return math.fsum(values) / len(values)
+
+
 def compare(
     ds: Dataset,
     kcfg: KernelConfig,
@@ -230,9 +236,9 @@ def compare(
         rows.append(
             ComparisonRow(
                 optimizer=kind,
-                mean_time_s=fmean(times[kind]),
+                mean_time_s=_mean(times[kind]),
                 best_fitness=max(values),
-                mean_fitness=fmean(values),
+                mean_fitness=_mean(values),
                 success_rate_pct=100.0 * wins / len(values),
             )
         )

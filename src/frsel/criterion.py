@@ -25,12 +25,15 @@ score inside its bounds on tiny datasets.
 
 from __future__ import annotations
 
-from concurrent.futures import Executor
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .datasets import Dataset, check_fields
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
 
 # Above this many float64 elements, the class-pair distance store is not
 # precomputed and each evaluation builds its cross-class distances itself.
@@ -215,6 +218,17 @@ def _column_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _rank_sums(values: np.ndarray) -> np.ndarray:
+    """(m, n_out) sums over axis 1 of (m, c, n_out) neighbour values, bit for
+    bit what np.add.reduce gives along a contiguous length-c last axis. numpy
+    adds fewer than 8 values there in order, as a reduce over the middle axis
+    does, only faster; 8 or more it sums pairwise, so those sum a transposed
+    copy."""
+    if values.shape[1] < 8:
+        return np.add.reduce(values, axis=1)
+    return np.add.reduce(np.ascontiguousarray(values.swapaxes(1, 2)), axis=2)
+
+
 def _shared_prefix(a: list[int], b: list[int]) -> int:
     """Length of the common prefix of two lists."""
     n = 0
@@ -338,7 +352,8 @@ class CriterionEngine:
         n_saved = max(0, min(_MASK_CHUNK_BUDGET // self._width, n_masks - 1))
         saved = np.empty((n_saved, self._width), dtype=np.float64)
         depths: list[int] = []
-        nears = [np.empty((batch, n_out, c), dtype=np.float64) for n_out, c, _ in self._views]
+        # Neighbours rank-major: one (c, n_out) plane per mask, see _rank_sums.
+        nears = [np.empty((batch, c, n_out), dtype=np.float64) for n_out, c, _ in self._views]
         denom = (self.class_ids.size - 1) * self.ds.n_samples
         for lo in range(0, n_masks, batch):
             hi = min(lo + batch, n_masks)
@@ -358,17 +373,17 @@ class CriterionEngine:
                         block = chunk[:, flat].reshape(cm, *shape)
                         block = np.ascontiguousarray(block.swapaxes(1, 2) if transposed else block)
                         block.sort(axis=2)
-                        near[clo:clo + cm, where] = block[:, :, :c]
+                        near[clo:clo + cm, :, where] = block[:, :, :c].swapaxes(1, 2)
             delta_eff = np.reshape(_effective_delta(self.cfg, part[:m].sum(axis=1)), (-1, 1, 1))
             gamma_total = np.zeros(m, dtype=np.float64)
             omega_total = np.zeros(m, dtype=np.float64)
             for near in nears:
-                c = near.shape[2]
+                c = near.shape[1]
                 k = np.exp(-near[:m] / delta_eff)
                 low = np.sqrt(np.maximum(0.0, 1.0 - k * k))
                 # Row means as ndarray.mean computes them: the sum, then / c.
-                gamma_total += (np.add.reduce(low, axis=2) / c).sum(axis=1)
-                omega_total += (np.add.reduce(2.0 * low - 1.0, axis=2) / c).sum(axis=1)
+                gamma_total += (_rank_sums(low) / c).sum(axis=1)
+                omega_total += (_rank_sums(2.0 * low - 1.0) / c).sum(axis=1)
             gamma_total /= denom
             omega_total /= denom
             yield rows, gamma_total, omega_total
@@ -398,9 +413,11 @@ class CriterionEngine:
     def evaluate_split(self, masks, parts: int, helpers: Executor | None) -> np.ndarray:
         """evaluate_many's gc of each row, from at most `parts` contiguous,
         non-empty slices of the stack: the first scored in the calling
-        thread, each other one on `helpers`, which needs parts - 1 threads
-        to run them all at once. A row's score does not depend on the stack
-        it is in, so the bits do not depend on `parts`.
+        thread, each other one by `helpers`, any object whose
+        submit(evaluate_many, part) returns a handle with result(): a
+        thread pool with parts - 1 threads (FitnessCache), or forked
+        processes (the oracle). A row's score does not depend on the stack
+        it is in, so the bits do not depend on `parts` or on the helpers.
         """
         parts = min(len(masks), parts)
         if parts < 2:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -121,7 +120,11 @@ class FitnessCache:
         self.neighborhoods: dict[bytes, list] = {}
         self.evaluations = 0
         self._workers = workers
-        self._pool = ThreadPoolExecutor(max_workers=workers - 1) if workers > 1 else None
+        self._pool = None
+        if workers > 1:
+            from concurrent.futures import ThreadPoolExecutor  # only here: import frsel stays lean
+
+            self._pool = ThreadPoolExecutor(max_workers=workers - 1)
 
     def close(self) -> None:
         if self._pool is not None:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import mmap
 import os
-from concurrent.futures import ThreadPoolExecutor
+import sys
+import threading
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -37,6 +39,90 @@ def usable_cores() -> int:
         return os.cpu_count() or 1
 
 
+def _may_fork() -> bool:
+    """Whether a forked child may run Python: os.fork exists, the platform
+    is not macOS (where CPython documents fork as unsafe), and the calling
+    thread is the process's only Python thread, so no lock can be held by a
+    thread the child lacks."""
+    return hasattr(os, "fork") and sys.platform != "darwin" and threading.active_count() == 1
+
+
+class _Slice:
+    """fn(part), a float64 score per row of part, computed by a forked child
+    into a shared anonymous mmap, or by result() in the calling thread where
+    _may_fork says no or os.fork fails. name says which slice it is."""
+
+    def __init__(self, fn, part: np.ndarray, name: str):
+        self._fn, self._part, self._name = fn, part, name
+        self._pid = None
+        self._scores = None
+        if not _may_fork():
+            return
+        scores = mmap.mmap(-1, 8 * len(part))
+        try:
+            pid = os.fork()
+        except OSError:
+            scores.close()
+            return
+        if pid == 0:
+            code = 1
+            try:
+                np.frombuffer(scores, dtype=np.float64)[:] = fn(part)
+                code = 0
+            except BaseException:
+                import traceback
+
+                os.write(2, traceback.format_exc().encode())
+                raise
+            finally:
+                # Never return into the caller's stack, flush inherited stdio
+                # buffers or run atexit handlers.
+                os._exit(code)
+        self._pid, self._scores = pid, scores
+
+    def reap(self) -> int:
+        """Wait for the child if it has not been waited for; its exit code
+        (minus the signal number if a signal killed it), else 0."""
+        if self._pid is None:
+            return 0
+        pid, self._pid = self._pid, None
+        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+    def result(self) -> np.ndarray:
+        if self._scores is None:
+            return self._fn(self._part)
+        try:
+            code = self.reap()
+            if code:
+                raise RuntimeError(f"the child process scoring {self._name} exited with code {code}")
+            return np.frombuffer(self._scores, dtype=np.float64).copy()
+        finally:
+            self._scores.close()
+
+
+class _ForkedHelpers:
+    """evaluate_split's helpers for the oracle: submit(fn, part) forks a
+    child that scores part (see _Slice), and leaving the with block reaps
+    every child still running, as a thread pool's with block joins its
+    threads."""
+
+    def __init__(self):
+        self._slices: list[_Slice] = []
+
+    def submit(self, fn, part: np.ndarray) -> _Slice:
+        # The caller scores slice 0.
+        piece = _Slice(fn, part, f"slice {len(self._slices) + 1} ({len(part)} masks)")
+        self._slices.append(piece)
+        return piece
+
+    def __enter__(self) -> _ForkedHelpers:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        for piece in self._slices:
+            piece.reap()
+
+
 def exhaustive_best(
     ds: Dataset, kcfg: KernelConfig = KernelConfig(), max_n: int = DEFAULT_MAX_N
 ) -> OracleResult:
@@ -50,11 +136,17 @@ def exhaustive_best(
 
     The sweep runs on every core the process may run on (usable_cores): the
     mask table is cut into that many contiguous slices, the first scored in
-    the calling thread and the others on helper threads that live only for
-    the sweep. Scores do not depend on the cut, so the result does not
-    depend on the core count; CPU affinity (taskset) is the control. Each
-    extra core costs about 2 MB of memory: its kernel chunk buffers and
-    its thread's malloc arena.
+    the calling thread and each other one in a child process forked for the
+    sweep, which writes its scores to shared memory. A child runs numpy
+    without waiting on the caller's interpreter lock. Fork is used only
+    where os.fork exists, the platform is not macOS, and the caller is the
+    process's only Python thread; otherwise, or when os.fork fails, the
+    calling thread scores that slice too. Every child is waited for before
+    the call returns or raises, and a child that fails raises RuntimeError.
+    Scores do not depend on the cut or on where a slice runs, so the result
+    does not depend on the core count; CPU affinity (taskset) is the
+    control. Each child holds its own kernel buffers, about 2 MB, which the
+    caller's peak RSS does not show.
     """
     n = ds.n_features
     if n > max_n:
@@ -64,9 +156,8 @@ def exhaustive_best(
     for j in range(n):
         masks[:, j] = (ints >> j) & 1
     engine = CriterionEngine(ds, kcfg)
-    cores = usable_cores()
-    with ThreadPoolExecutor(max_workers=max(1, cores - 1)) as helpers:
-        scores = engine.evaluate_split(masks, cores, helpers)
+    with _ForkedHelpers() as helpers:
+        scores = engine.evaluate_split(masks, usable_cores(), helpers)
     order = np.lexsort((masks.sum(axis=1, dtype=np.uint8), -scores))
     return OracleResult(
         best_mask=masks[order[0]].copy(),

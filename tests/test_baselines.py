@@ -1,9 +1,12 @@
 import csv
 import io
 from dataclasses import fields
+from statistics import fmean
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_dataset, standardize
 from frsel import (
@@ -19,7 +22,7 @@ from frsel import (
     runlog_lines,
     synth_clusters,
 )
-from frsel.baselines import BASELINE_KINDS, ComparisonRow, compare_csv_text
+from frsel.baselines import BASELINE_KINDS, ComparisonRow, _mean, compare_csv_text
 from frsel.criterion import CriterionEngine, popcount
 
 KCFG = KernelConfig()
@@ -183,6 +186,11 @@ class TestCompare:
         )
         assert rows[0].success_rate_pct == 100.0
         assert rows[1].success_rate_pct == 0.0
+
+    @given(st.lists(st.floats(-1e300, 1e300), min_size=1))
+    @settings(max_examples=200, deadline=None)
+    def test_mean_has_the_bits_of_fmean(self, values):
+        assert _mean(values).hex() == fmean(values).hex()
 
     def test_empty_inputs_rejected(self, small_ds):
         with pytest.raises(ValueError, match="seeds"):

@@ -12,6 +12,9 @@ from frsel import cli
 from frsel.cli import main
 from golden.make_golden import GOLDEN_DIR
 
+# Modules a select never needs; a fresh interpreter shows which it loads.
+LEAN_MODULES = ("numpy.ma", "concurrent.futures", "statistics", "multiprocessing")
+
 FAST_MA = [
     "--ma.np=6", "--ma.g_max=3", "--ma.ts_iters=4", "--ma.tl=3",
     "--ma.init_neighbors=2",
@@ -399,16 +402,27 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert proc.stdout.strip().startswith("frsel ")
 
-    def test_select_leaves_numpy_ma_unloaded(self, small_csv, tmp_path):
-        # np.unique imports numpy.ma on its first call, at a cost of
-        # milliseconds and over a megabyte; a fresh interpreter shows it.
-        argv = ["select", "--data", small_csv, "--out", str(tmp_path / "run"), *FAST_MA]
+    @pytest.fixture(scope="class")
+    def select_modules(self, small_csv, tmp_path_factory):
+        """The modules of LEAN_MODULES a fresh interpreter holds after one
+        select, which must succeed."""
+        out = tmp_path_factory.mktemp("lean") / "run"
+        argv = ["select", "--data", small_csv, "--out", str(out), *FAST_MA]
         code = ("import sys\nfrom frsel.cli import main\n"
-                f"rc = main({argv!r})\nprint(rc, 'numpy.ma' in sys.modules)")
+                f"rc = main({argv!r})\n"
+                f"print(rc, *[m for m in {LEAN_MODULES!r} if m in sys.modules])")
         src = os.path.dirname(os.path.dirname(cli.__file__))
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
             env=dict(os.environ, PYTHONPATH=src),
         )
-        assert proc.stdout.split()[-2:] == ["0", "False"], proc.stderr
-        assert (tmp_path / "run" / "selection.json").is_file()
+        assert proc.returncode == 0, proc.stderr
+        rc, *loaded = proc.stdout.splitlines()[-1].split()
+        assert rc == "0" and (out / "selection.json").is_file()
+        return loaded
+
+    # np.unique imports numpy.ma on its first call, at a cost of milliseconds
+    # and over a megabyte; the others cost import time on every CLI call.
+    @pytest.mark.parametrize("module", LEAN_MODULES)
+    def test_select_leaves_module_unloaded(self, select_modules, module):
+        assert module not in select_modules

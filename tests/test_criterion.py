@@ -290,7 +290,9 @@ class TestMatchesDenseEngine:
     scores the stack in order, shuffled with some rows repeated, and
     reversed, and each row must get its own score.
     n_k=5 exceeds the smaller classes, and every mask of 9 features is
-    scored, so sums over 8 and 9 selected columns are covered too."""
+    scored, so sums over 8 and 9 selected columns are covered too. On
+    grid-2 and wide-2, whose classes hold at least 12 rows, n_k 8, 9 and 12
+    keep 8 or more neighbours, whose means numpy sums pairwise."""
 
     @pytest.mark.parametrize("stored", [True, False], ids=["store", "per-call"])
     @pytest.mark.parametrize("name", EDGE_CASES)
@@ -303,7 +305,11 @@ class TestMatchesDenseEngine:
         everything = np.arange(len(masks))
         repeats = rng.permutation(np.concatenate([everything, rng.choice(everything, 40)]))
         orders = [everything, repeats, everything[::-1]]
-        for cfg in (KernelConfig(n_k=1), KernelConfig(n_k=5, per_feature_normalization=False)):
+        cfgs = [KernelConfig(n_k=1), KernelConfig(n_k=5, per_feature_normalization=False)]
+        if min(np.count_nonzero(ds.labels == d) for d in ds.class_ids) >= 12:
+            # 8 or more neighbours per class: row means summed pairwise.
+            cfgs += [KernelConfig(n_k=n_k, per_feature_normalization=n_k != 9) for n_k in (8, 9, 12)]
+        for cfg in cfgs:
             engine = CriterionEngine(ds, cfg)
             assert (engine._store is not None) == stored
             expect = [dense_evaluate(ds, mask, cfg) for mask in masks]

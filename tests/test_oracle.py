@@ -1,3 +1,7 @@
+import errno
+import os
+import subprocess
+import sys
 import threading
 from dataclasses import fields
 
@@ -160,49 +164,146 @@ class TestChunking:
             assert repr(got.runner_up_fitness) == repr(runner_up), case
 
 
+def assert_no_child():
+    """No child process of this one remains, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def result_key(result):
+    return (result.best_mask.tobytes(), result.best_fitness.hex(),
+            result.runner_up_fitness.hex(), result.evaluated)
+
+
 class TestCoreSplit:
     """The sweep cuts its mask table into one slice per usable core; the
-    calling thread scores the first and helper threads the rest."""
+    calling thread scores the first and forked child processes the rest, or
+    the calling thread scores them all where it may not fork."""
+
+    DS = standardize(synth_clusters(SynthSpec(n_noise=5, samples_per_class=30), 3))
+
+    @pytest.fixture(autouse=True)
+    def lone_thread(self):
+        """Join any thread an earlier test left running, so that the fork
+        rule sees the calling thread alone; no child outlives a test."""
+        for thread in threading.enumerate():
+            if thread is not threading.current_thread():
+                thread.join(timeout=30)
+        assert threading.active_count() == 1
+        yield
+        assert_no_child()
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        """(thread, rows, threads alive) of every evaluate_many call."""
+        """Rows of every evaluate_many call this process makes; a child's
+        calls land in the child's copy of the list."""
         log = []
         evaluate_many = CriterionEngine.evaluate_many
 
         def spy(engine, masks):
-            log.append((threading.get_ident(), masks.copy(), threading.active_count()))
+            log.append(masks.copy())
             return evaluate_many(engine, masks)
 
         monkeypatch.setattr(CriterionEngine, "evaluate_many", spy)
         return log
 
-    def test_result_does_not_depend_on_core_count(self, calls, monkeypatch):
-        ds = standardize(synth_clusters(SynthSpec(n_noise=5, samples_per_class=30), 3))
-        alive = threading.active_count()
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """One entry per os.fork call."""
+        log = []
+        fork = os.fork
+
+        def counted():
+            log.append(None)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        return log
+
+    def test_result_does_not_depend_on_core_count(self, calls, forks, monkeypatch):
         results = []
         for cores in (1, 2, 3):
             monkeypatch.setattr(oracle, "usable_cores", lambda: cores)
             calls.clear()
-            result = exhaustive_best(ds, KCFG)
-            results.append((result.best_mask.tobytes(), result.best_fitness.hex(),
-                            result.runner_up_fitness.hex(), result.evaluated))
-            assert len(calls) == cores and min(len(rows) for _, rows, _ in calls) > 0
-            assert sum(len(rows) for _, rows, _ in calls) == 2 ** 8 - 1
-            assert len({thread for thread, _, _ in calls}) <= cores
-            assert max(count for _, _, count in calls) <= alive + cores - 1
-            first = [rows for thread, rows, _ in calls if thread == threading.get_ident()]
-            assert len(first) == 1 and first[0][0].tolist() == [1] + [0] * 7
-            assert threading.active_count() == alive
+            forks.clear()
+            results.append(result_key(exhaustive_best(self.DS, KCFG)))
+            assert len(forks) == cores - 1
+            assert len(calls) == 1 and len(calls[0]) == -(-(2 ** 8 - 1) // cores)
+            assert calls[0][0].tolist() == [1] + [0] * 7
+            assert_no_child()
         assert results[0] == results[1] == results[2]
 
-    def test_one_mask_starts_no_thread(self, calls, monkeypatch):
+    def test_one_mask_starts_no_thread(self, calls, forks, monkeypatch):
         monkeypatch.setattr(oracle, "usable_cores", lambda: 2)
-        alive = threading.active_count()
         result = exhaustive_best(make_dataset([[0.0], [1.0]], [0, 1]), KCFG)
         assert result.evaluated == 1
-        assert [(thread, rows.tolist(), count) for thread, rows, count in calls] == [
-            (threading.get_ident(), [[1]], alive)]
+        assert [rows.tolist() for rows in calls] == [[[1]]]
+        assert forks == [] and threading.active_count() == 1
+
+    @pytest.mark.parametrize("where", ["child", "caller"])
+    def test_failing_slice_raises_and_leaves_no_child(self, where, monkeypatch):
+        monkeypatch.setattr(oracle, "usable_cores", lambda: 3)
+        caller = os.getpid()
+        evaluate_many = CriterionEngine.evaluate_many
+
+        def failing(engine, masks):
+            if (os.getpid() == caller) == (where == "caller"):
+                raise ValueError("slice failed")
+            return evaluate_many(engine, masks)
+
+        monkeypatch.setattr(CriterionEngine, "evaluate_many", failing)
+        if where == "child":
+            with pytest.raises(RuntimeError, match=r"slice 1 \(85 masks\) exited with code 1"):
+                exhaustive_best(self.DS, KCFG)
+        else:
+            with pytest.raises(ValueError, match="slice failed"):
+                exhaustive_best(self.DS, KCFG)
+        assert_no_child()
+
+    def test_second_thread_forks_nothing(self, calls, forks, monkeypatch):
+        monkeypatch.setattr(oracle, "usable_cores", lambda: 3)
+        forked = result_key(exhaustive_best(self.DS, KCFG))
+        calls.clear()
+        forks.clear()
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        other.start()
+        try:
+            in_thread = result_key(exhaustive_best(self.DS, KCFG))
+        finally:
+            stop.set()
+            other.join(timeout=30)
+        assert not other.is_alive()
+        assert forks == [] and [len(rows) for rows in calls] == [85, 85, 85]
+        assert in_thread == forked
+
+    def test_children_leave_stdio_buffers_and_exit_handlers_alone(self):
+        # Text buffered on a pipe before the sweep would be written once more
+        # by every child that flushed it, and an exit handler run again.
+        code = ("import atexit, sys\n"
+                "from frsel import KernelConfig, SynthSpec, oracle, synth_clusters\n"
+                "oracle.usable_cores = lambda: 3\n"
+                "atexit.register(lambda: sys.stderr.write('exit handler\\n'))\n"
+                "print('before the sweep')\n"
+                "oracle.exhaustive_best(synth_clusters(SynthSpec(n_noise=3, samples_per_class=10), 0),"
+                " KernelConfig())\n")
+        src = os.path.dirname(os.path.dirname(oracle.__file__))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60, env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        assert (proc.stdout, proc.stderr) == ("before the sweep\n", "exit handler\n")
+
+    def test_failed_fork_scores_in_the_caller(self, calls, monkeypatch):
+        monkeypatch.setattr(oracle, "usable_cores", lambda: 3)
+        forked = result_key(exhaustive_best(self.DS, KCFG))
+        calls.clear()
+
+        def no_fork():
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert result_key(exhaustive_best(self.DS, KCFG)) == forked
+        assert [len(rows) for rows in calls] == [85, 85, 85]
 
 
 class TestMAAgainstOracle:
