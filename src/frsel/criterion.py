@@ -41,10 +41,9 @@ _STORE_BUDGET = 8_000_000
 
 # Masks are scored in chunks whose flat distance rows hold at most this many
 # float64 elements (512 KB), and at least one mask. The sorted copy of one
-# class-pair block is no larger. The same budget bounds a stack's prefix
-# checkpoints (budget // width rows, fewer than the stack's, none when one
-# row is wider) and, at a quarter, the neighbours of one tail batch (at
-# least one chunk), so the kernel's buffers stay near 2 MB.
+# class-pair block is no larger, and at a quarter the budget bounds the
+# neighbours of one tail batch (at least one chunk), so the kernel's buffers
+# stay near 1.5 MB.
 _MASK_CHUNK_BUDGET = 1 << 16
 
 
@@ -229,36 +228,39 @@ def _rank_sums(values: np.ndarray) -> np.ndarray:
     return np.add.reduce(np.ascontiguousarray(values.swapaxes(1, 2)), axis=2)
 
 
-def _shared_prefix(a: list[int], b: list[int]) -> int:
-    """Length of the common prefix of two lists."""
-    n = 0
-    for x, y in zip(a, b):
-        if x != y:
-            break
-        n += 1
-    return n
-
-
 class CriterionEngine:
     """Evaluates the criterion for many masks over one fixed dataset.
 
     Only cross-class distances enter the score. They lie flat, one row-major
     (|a|, |b|) block per class pair a < b, read transposed for the reverse
-    direction. Construction stores each feature's squared differences when
-    N * sum(|a| * |b|) float64 elements fit the budget; otherwise every
-    evaluation rebuilds the selected ones. Both add them in feature order,
-    so both give the same bits. evaluate scores a one-row stack through the
-    kernel of evaluate_many, which scores a stack chunk by chunk in
-    lexicographic order, continuing exact partial sums from row to row, with
-    the same arithmetic for a row in any chunk and at any place in the
-    stack. All methods are pure with respect to the engine state and safe
-    to call from several threads at once.
+    direction. Each feature's squared differences are rounded to the
+    nearest multiple of one grid step, 2^-e, where e is the largest integer
+    with B * 2^e <= 2^51 and B, the sum over the columns of their squared
+    ranges, bounds every squared distance. Every sum of rounded squared
+    differences is then an exact float64 multiple of the step, whatever the
+    order of its additions. Construction stores the rounded differences
+    when N * sum(|a| * |b|) float64 elements fit the budget; otherwise every
+    evaluation rebuilds the selected ones. Either way a row's distances are
+    exact, so a mask's score does not depend on the stack, chunk or BLAS
+    thread count it is scored with, and evaluate gives the bits that
+    evaluate_many gives. All methods are pure with respect to the engine
+    state and safe to call from several threads at once.
+
+    Raises ValueError, naming the column, where the bound B overflows
+    float64, as it does when one column's range exceeds about 1.34e154.
     """
 
     def __init__(self, ds: Dataset, cfg: KernelConfig = KernelConfig()):
         self.ds = ds
         self.cfg = cfg
         self.class_ids = ds.class_ids
+        with np.errstate(over="ignore"):
+            bound = np.cumsum(np.square(np.ptp(ds.samples, axis=0)))
+        if not np.isfinite(bound[-1]):
+            name = ds.feature_names[np.argmax(~np.isfinite(bound))]
+            raise ValueError(f"squared distances overflow float64 at column {name!r}")
+        frac, exp = np.frexp(bound[-1])
+        self._grid = int(51 - exp + (frac == 0.5))  # the e of the class docstring
         self._members = [np.flatnonzero(ds.labels == d) for d in self.class_ids]
         sizes = [m.size for m in self._members]
         self._pairs: list[tuple[int, int, slice]] = []
@@ -284,87 +286,67 @@ class CriterionEngine:
         self._near_per_mask = sum(n_out * c for n_out, c, _ in self._views)
         self._store: np.ndarray | None = None
         if ds.n_features * self._width <= _STORE_BUDGET:
-            self._store = np.empty((ds.n_features, self._width), dtype=np.float64)
-            for j in range(ds.n_features):
-                self._store[j] = self._feature_sq_diffs(j)
+            self._store = self._sq_diffs(range(ds.n_features))
 
-    def _feature_sq_diffs(self, j: int) -> np.ndarray:
-        """Flat cross-class squared differences on column j."""
-        col = self.ds.samples[:, j:j + 1]
-        out = np.empty(self._width, dtype=np.float64)
-        for a, b, flat in self._pairs:
-            out[flat] = _column_sq_dists(col[self._members[a]], col[self._members[b]]).ravel()
+    def _sq_diffs(self, cols) -> np.ndarray:
+        """(len(cols), width) flat cross-class squared differences of the
+        columns cols, each rounded to the grid in place, one column and one
+        class pair at a time, so every pass runs on a block of |a| * |b|."""
+        out = np.empty((len(cols), self._width), dtype=np.float64)
+        for row, j in zip(out, cols):
+            col = self.ds.samples[:, j]
+            for a, b, flat in self._pairs:
+                block = row[flat].reshape(self._members[a].size, self._members[b].size)
+                np.subtract.outer(col[self._members[a]], col[self._members[b]], out=block)
+                np.square(block, out=block)
+                np.ldexp(block, self._grid, out=block)
+                np.rint(block, out=block)
+                np.ldexp(block, -self._grid, out=block)
         return out
 
-    def _sq_dists(self, sels: list[list[int]], out: np.ndarray, saved: np.ndarray,
-                  depths: list[int]) -> None:
-        """Flat cross-class squared distances of rows with the selected
-        features sels, written to out, each adding its features one at a time
-        in order. sels may hold one row past out: the row scored next.
-
-        Rows whose first s selected features agree share the partial sum of
-        those s features bit for bit, so a row continues the deepest one at
-        hand. depths lists, shallowest first, the depth of each checkpoint
-        held in the same row of saved, every one a prefix of the current row.
-        A row starts from the deepest, saves its own partial sum at the depth
-        it shares with the next row while saved has a free row, then drops
-        the checkpoints deeper than that depth.
-        """
-        for i, acc in enumerate(out):
-            sel = sels[i]
-            depth = depths[-1] if depths else 0
-            keep = _shared_prefix(sel, sels[i + 1]) if i + 1 < len(sels) else 0
-            start = saved[len(depths) - 1] if depth else None
-            if depth == len(sel):  # a repeated row
-                acc[...] = start
-            for k in range(depth, len(sel)):
-                row = self._feature_sq_diffs(sel[k]) if self._store is None else self._store[sel[k]]
-                if start is None:
-                    acc[...] = row  # 0.0 + x == x: the bits of a sum from zero
+    def _sq_dists(self, part: np.ndarray, out: np.ndarray) -> None:
+        """Flat cross-class squared distances of the masks part, written to
+        the rows of out. With the store, two or more rows take one matrix
+        product; a single row, or any row without the store, adds its
+        selected features' rows. Every sum is exact, so both give the same
+        bits."""
+        if self._store is not None and len(part) > 1:
+            np.matmul(part.astype(np.float64), self._store, out=out)
+            return
+        for mask, acc in zip(part, out):
+            for i, j in enumerate(mask.nonzero()[0]):
+                row = self._sq_diffs([j])[0] if self._store is None else self._store[j]
+                if i:
+                    acc += row
                 else:
-                    np.add(start, row, out=acc)
-                start = acc
-                if k + 1 == keep and len(depths) < saved.shape[0]:
-                    saved[len(depths)] = acc
-                    depths.append(keep)
-            while depths and depths[-1] > keep:
-                depths.pop()
+                    acc[...] = row
 
-    def _score(self, masks: np.ndarray):
-        """Yield (rows, g_gamma, g_omega) for each batch of a validated (M, N)
-        stack of non-empty masks: the batch's positions in the stack, and
-        their two scores as fresh arrays.
+    def _score(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(g_gamma, g_omega) of each row of a validated (M, N) stack of
+        non-empty masks, scored in the stack's order.
 
-        Rows are scored in lexicographic order, feature 0 most significant,
-        so that neighbouring rows share low-feature prefixes for _sq_dists
-        to continue. Distances form in chunks of masks, each chunk's sorted
-        neighbours go into a tail batch of whole chunks, and the
-        exp/sqrt/mean tail runs once per batch. _MASK_CHUNK_BUDGET bounds a
-        chunk's distances, the checkpoints (at most M - 1, so none for one
-        row) and, at a quarter, a batch's neighbours.
+        Distances form in chunks of masks, each chunk's sorted neighbours go
+        into a tail batch of whole chunks, and the exp/sqrt/mean tail runs
+        once per batch. _MASK_CHUNK_BUDGET bounds a chunk's distances and,
+        at a quarter, a batch's neighbours.
         """
         n_masks = masks.shape[0]
-        order = np.lexsort(masks.T[::-1])
         step = max(1, _MASK_CHUNK_BUDGET // self._width)
         per_batch = max(1, _MASK_CHUNK_BUDGET // 4 // (step * self._near_per_mask))
         batch = max(1, min(n_masks, step * per_batch))
         d2 = np.empty((min(step, n_masks), self._width), dtype=np.float64)
-        n_saved = max(0, min(_MASK_CHUNK_BUDGET // self._width, n_masks - 1))
-        saved = np.empty((n_saved, self._width), dtype=np.float64)
-        depths: list[int] = []
         # Neighbours rank-major: one (c, n_out) plane per mask, see _rank_sums.
         nears = [np.empty((batch, c, n_out), dtype=np.float64) for n_out, c, _ in self._views]
         denom = (self.class_ids.size - 1) * self.ds.n_samples
+        gamma_total = np.zeros(n_masks, dtype=np.float64)
+        omega_total = np.zeros(n_masks, dtype=np.float64)
         for lo in range(0, n_masks, batch):
-            hi = min(lo + batch, n_masks)
-            m = hi - lo
-            # One row past the batch, for the depth the last row shares.
-            rows, part = order[lo:hi], masks[order[lo:hi + 1]]
-            sels = [mask.nonzero()[0].tolist() for mask in part]
+            part = masks[lo:lo + batch]
+            m = part.shape[0]
             for clo in range(0, m, step):
                 chunk = d2[:min(step, m - clo)]
                 cm = chunk.shape[0]
-                self._sq_dists(sels[clo:clo + cm + 1], chunk, saved, depths)
+                self._sq_dists(part[clo:clo + cm], chunk)
                 for (_, c, parts), near in zip(self._views, nears):
                     # The pairwise sums below depend on row order: keep sample order.
                     for where, flat, shape, transposed in parts:
@@ -374,19 +356,18 @@ class CriterionEngine:
                         block = np.ascontiguousarray(block.swapaxes(1, 2) if transposed else block)
                         block.sort(axis=2)
                         near[clo:clo + cm, :, where] = block[:, :, :c].swapaxes(1, 2)
-            delta_eff = np.reshape(_effective_delta(self.cfg, part[:m].sum(axis=1)), (-1, 1, 1))
-            gamma_total = np.zeros(m, dtype=np.float64)
-            omega_total = np.zeros(m, dtype=np.float64)
+            delta_eff = np.reshape(_effective_delta(self.cfg, part.sum(axis=1)), (-1, 1, 1))
+            gamma, omega = gamma_total[lo:lo + m], omega_total[lo:lo + m]
             for near in nears:
                 c = near.shape[1]
                 k = np.exp(-near[:m] / delta_eff)
                 low = np.sqrt(np.maximum(0.0, 1.0 - k * k))
                 # Row means as ndarray.mean computes them: the sum, then / c.
-                gamma_total += (_rank_sums(low) / c).sum(axis=1)
-                omega_total += (_rank_sums(2.0 * low - 1.0) / c).sum(axis=1)
-            gamma_total /= denom
-            omega_total /= denom
-            yield rows, gamma_total, omega_total
+                gamma += (_rank_sums(low) / c).sum(axis=1)
+                omega += (_rank_sums(2.0 * low - 1.0) / c).sum(axis=1)
+        gamma_total /= denom
+        omega_total /= denom
+        return gamma_total, omega_total
 
     def _stack(self, masks, ndim: int) -> np.ndarray:
         """A validated (M, N) stack of non-empty masks from one mask (ndim 1)
@@ -398,17 +379,13 @@ class CriterionEngine:
 
     def evaluate(self, mask) -> CriterionValue:
         """Score one non-empty mask."""
-        (_, g_gamma, g_omega), = self._score(self._stack(mask, 1))
-        g_gamma, g_omega = float(g_gamma[0]), float(g_omega[0])
+        g_gamma, g_omega = (float(v[0]) for v in self._score(self._stack(mask, 1)))
         return CriterionValue(g_gamma=g_gamma, g_omega=g_omega, gc=(g_gamma + g_omega) / 2.0)
 
     def evaluate_many(self, masks) -> np.ndarray:
         """gc of each row of an (M, N) stack of non-empty masks."""
-        stack = self._stack(masks, 2)
-        gc = np.empty(stack.shape[0], dtype=np.float64)
-        for rows, g_gamma, g_omega in self._score(stack):
-            gc[rows] = (g_gamma + g_omega) / 2.0
-        return gc
+        g_gamma, g_omega = self._score(self._stack(masks, 2))
+        return (g_gamma + g_omega) / 2.0
 
     def evaluate_split(self, masks, parts: int, helpers: Executor | None) -> np.ndarray:
         """evaluate_many's gc of each row, from at most `parts` contiguous,
@@ -416,8 +393,9 @@ class CriterionEngine:
         thread, each other one by `helpers`, any object whose
         submit(evaluate_many, part) returns a handle with result(): a
         thread pool with parts - 1 threads (FitnessCache), or forked
-        processes (the oracle). A row's score does not depend on the stack
-        it is in, so the bits do not depend on `parts` or on the helpers.
+        processes (the oracle). A row's distances are exact sums on the
+        engine's grid, so its score does not depend on the stack it is in,
+        and the bits do not depend on `parts` or on the helpers.
         """
         parts = min(len(masks), parts)
         if parts < 2:

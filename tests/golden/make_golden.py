@@ -2,7 +2,7 @@
 
 Run from the repository root:
 
-    PYTHONPATH=src python tests/golden/make_golden.py
+    PYTHONPATH=src python tests/golden/make_golden.py [--compare] [case ...]
 
 Every case directory holds its input `data.csv` and the `selection.json`,
 `runlog.jsonl` and `metrics.json` that `frsel select` wrote for it. Cases in
@@ -13,13 +13,21 @@ case's training split. Cases in ORACLE_CASES hold the `oracle.json` that
 `frsel oracle` wrote. tests/test_golden.py reruns each case and asserts byte
 equality. A change that alters these outputs on purpose reruns this script
 in a commit of its own and says why.
+
+--compare writes nothing under tests/golden/. It regenerates each case in a
+temporary directory and prints, for every golden file, each non-float field
+whose value changed and the largest absolute change of a float field, so
+the commit that regenerates the goldens can quote what moved.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -90,10 +98,11 @@ def _make_data(name: str, path: Path) -> None:
     _write_csv(path, samples, labels)
 
 
-def baseline_outputs(name: str, kind: str) -> dict[str, str]:
-    """File name -> text of one baseline kind's golden outputs for a case."""
+def baseline_outputs(name: str, kind: str, data: Path | None = None) -> dict[str, str]:
+    """File name -> text of one baseline kind's golden outputs for a case,
+    run on data (default: the case's committed data.csv)."""
     params = BASELINE_CASES[name]
-    train, _ = split(load_csv(GOLDEN_DIR / name / "data.csv"), 0.66, params["seed"])
+    train, _ = split(load_csv(data or GOLDEN_DIR / name / "data.csv"), 0.66, params["seed"])
     train = zscore_apply(train, zscore_fit(train))
     result = run_baseline(train, KernelConfig(), BaselineConfig(kind=kind, **params))
     summary = {
@@ -110,8 +119,8 @@ def baseline_outputs(name: str, kind: str) -> dict[str, str]:
     }
 
 
-def regenerate(name: str) -> None:
-    case_dir = GOLDEN_DIR / name
+def regenerate(name: str, case_dir: Path) -> None:
+    """Write every golden file of one case into case_dir."""
     case_dir.mkdir(exist_ok=True)
     data = case_dir / "data.csv"
     _make_data(name, data)
@@ -120,7 +129,7 @@ def regenerate(name: str) -> None:
         raise SystemExit(f"{name}: frsel select exited with {rc}")
     if name in BASELINE_CASES:
         for kind in BASELINE_KINDS:
-            for file_name, text in baseline_outputs(name, kind).items():
+            for file_name, text in baseline_outputs(name, kind, data).items():
                 (case_dir / file_name).write_text(text, encoding="utf-8")
     if name in ORACLE_CASES:
         rc = main(["oracle", "--data", str(data), "--out", str(case_dir), *ORACLE_CASES[name]])
@@ -128,6 +137,57 @@ def regenerate(name: str) -> None:
             raise SystemExit(f"{name}: frsel oracle exited with {rc}")
 
 
+def _parse(path: Path):
+    """A golden file as JSON values: one per line of a .jsonl file, a list of
+    rows for a .csv file with its numeric cells as floats."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".json":
+        return json.loads(text)
+    if path.suffix == ".jsonl":
+        return [json.loads(line) for line in text.splitlines()]
+    rows = list(csv.reader(text.splitlines()))
+    return [rows[0]] + [[float(cell) for cell in row] for row in rows[1:]]
+
+
+def _differences(old, new, where: str = ""):
+    """Yield (where, old, new) for each leaf that differs; a float leaf is
+    yielded whenever both sides are floats, so its change can be measured."""
+    if isinstance(old, dict) and isinstance(new, dict) and old.keys() == new.keys():
+        for key in old:
+            yield from _differences(old[key], new[key], f"{where}.{key}")
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for i, (a, b) in enumerate(zip(old, new)):
+            yield from _differences(a, b, f"{where}[{i}]")
+    elif isinstance(old, float) and isinstance(new, float) or old != new:
+        yield where, old, new
+
+
+def compare(name: str) -> list[str]:
+    """Report lines for one case: the changed non-float fields of each golden
+    file and its largest float change."""
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        fresh = Path(tmp)
+        with contextlib.redirect_stdout(io.StringIO()):
+            regenerate(name, fresh)
+        for path in sorted((GOLDEN_DIR / name).iterdir()):
+            changed, largest, at = [], 0.0, ""
+            for where, old, new in _differences(_parse(path), _parse(fresh / path.name)):
+                if not (isinstance(old, float) and isinstance(new, float)):
+                    changed.append(f"  {where or '(file)'}: {old!r} -> {new!r}")
+                elif abs(new - old) > largest:
+                    largest, at = abs(new - old), f" at {where}"
+            lines.append(f"{name}/{path.name}: {len(changed)} non-float changes, "
+                         f"largest float change {largest:.3g}{at}")
+            lines += changed
+    return lines
+
+
 if __name__ == "__main__":
-    for case in sys.argv[1:] or CASES:
-        regenerate(case)
+    args = sys.argv[1:]
+    if args[:1] == ["--compare"]:
+        for case in args[1:] or CASES:
+            print("\n".join(compare(case)), flush=True)
+    else:
+        for case in args or CASES:
+            regenerate(case, GOLDEN_DIR / case)

@@ -7,8 +7,11 @@ genuinely independent implementations. Its inputs are plain nested lists.
 
 dense_evaluate is the criterion engine as it was before the class-pair
 distance store: the full n x n squared-distance matrix summed feature by
-feature, np.ix_ cross-class blocks and a stable argsort per row.
-The engine's values must equal dense_evaluate's bit for bit.
+feature, np.ix_ cross-class blocks and a stable argsort per row. Like the
+engine, it rounds each squared difference to the dataset's grid
+(grid_exponent), so the engine's values must equal dense_evaluate's bit for
+bit. reference_criterion keeps the exact distances; the grid moves its
+values by far less than the 1e-12 its equivalence test allows.
 
 reference_ts_local_search is the list-based tabu walk that the array-native
 frsel.memetic.ts_local_search replaced; differential tests require both to
@@ -90,14 +93,28 @@ def random_grid_case(rng, max_samples=8, max_features=4):
     return samples, labels, selected, delta, normalization, n_k
 
 
+def grid_exponent(samples) -> int:
+    """The largest integer e with B * 2**e <= 2**51, where B adds the
+    columns' squared ranges (max - min)**2 in column order: 51 for B = 0."""
+    bound = 0.0
+    for col in np.asarray(samples).T.tolist():
+        spread = max(col) - min(col)
+        bound += spread * spread
+    frac, exp = math.frexp(bound)
+    return 51 - exp + (frac == 0.5)
+
+
 def _dense_sq_dists(ds, mask) -> np.ndarray:
-    """Full n x n squared distances, a per-feature stack summed in feature order."""
+    """Full n x n squared distances, a per-feature stack, each squared
+    difference rounded to the nearest multiple of 2**-grid_exponent, summed
+    in feature order."""
     sel = np.flatnonzero(np.asarray(mask))
+    e = grid_exponent(ds.samples)
     n = ds.n_samples
     stack = np.empty((sel.size, n, n), dtype=np.float64)
     for i, j in enumerate(sel):
         d = ds.samples[:, j, None] - ds.samples[None, :, j]
-        stack[i] = d * d
+        stack[i] = np.ldexp(np.rint(np.ldexp(d * d, e)), -e)
     return stack.sum(axis=0)
 
 

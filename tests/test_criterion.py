@@ -25,7 +25,7 @@ from frsel.criterion import (
 )
 from frsel.evaluation import knn_predict
 from frsel.memetic import FitnessCache
-from reference import dense_evaluate, random_grid_case, reference_criterion
+from reference import dense_evaluate, grid_exponent, random_grid_case, reference_criterion
 
 N1 = KernelConfig(delta=1.0, per_feature_normalization=True, n_k=1)
 
@@ -250,8 +250,16 @@ class TestReferenceEquivalence:
             assert abs(v.g_omega - (2.0 * v.g_gamma - 1.0)) <= 1e-12
 
 
+# Scaled copies of grid-3, scored with delta times the square of the scale,
+# where the grid exponent lies near 1,049 and near -351.
+SCALES = {"grid-3-x2^-500": 2.0 ** -500, "grid-3-x2^200": 2.0 ** 200}
+
+
 def _edge_case(name):
     """Small datasets on a 0.1 grid (full of distance ties) for the edge inputs."""
+    if name in SCALES:
+        ds = _edge_case("grid-3")
+        return make_dataset(ds.samples * SCALES[name], ds.labels)
     rng = np.random.default_rng(sum(map(ord, name)))
     if name == "two-samples":
         return make_dataset(rng.integers(-3, 4, size=(2, 9)) / 10.0, [0, 1])
@@ -277,22 +285,23 @@ def _edge_case(name):
 # wide-2 has two classes of 24, so at n_k=1 a mask's 576 distances keep 48
 # neighbours, few enough that a tail batch holds several chunks.
 EDGE_CASES = ["grid-2", "grid-3", "grid-4", "single-sample", "duplicates",
-              "constant-columns", "two-samples", "wide-2"]
+              "constant-columns", "two-samples", "wide-2", *SCALES]
 
 
 class TestMatchesDenseEngine:
     """The class-pair engine equals the dense reference bit for bit, on the
     stored path and on the per-call path, through evaluate and through
     evaluate_many. evaluate_many runs with a chunk budget below one width
-    (one mask per chunk, no checkpoint kept), with one mask per chunk, 10
-    (the last chunk of 511 masks holds one) or all of them. On wide-2 at
-    n_k=1 a tail batch holds 2 or 3 chunks and the last one is short. It
-    scores the stack in order, shuffled with some rows repeated, and
-    reversed, and each row must get its own score.
+    or of one mask per chunk (each row adds its features), of 10 (a matrix
+    product per chunk; the last chunk of 511 masks holds one row) or of all
+    of them. On wide-2 at n_k=1 a tail batch holds 2 or 3 chunks and the
+    last one is short. It scores the stack in order, shuffled with some
+    rows repeated, and reversed, and each row must get its own score.
     n_k=5 exceeds the smaller classes, and every mask of 9 features is
     scored, so sums over 8 and 9 selected columns are covered too. On
     grid-2 and wide-2, whose classes hold at least 12 rows, n_k 8, 9 and 12
-    keep 8 or more neighbours, whose means numpy sums pairwise."""
+    keep 8 or more neighbours, whose means numpy sums pairwise. The scaled
+    copies of grid-3 move the grid exponent far from that of the others."""
 
     @pytest.mark.parametrize("stored", [True, False], ids=["store", "per-call"])
     @pytest.mark.parametrize("name", EDGE_CASES)
@@ -305,13 +314,15 @@ class TestMatchesDenseEngine:
         everything = np.arange(len(masks))
         repeats = rng.permutation(np.concatenate([everything, rng.choice(everything, 40)]))
         orders = [everything, repeats, everything[::-1]]
-        cfgs = [KernelConfig(n_k=1), KernelConfig(n_k=5, per_feature_normalization=False)]
+        delta = SCALES.get(name, 1.0) ** 2
+        cfgs = [KernelConfig(delta, n_k=1), KernelConfig(delta, n_k=5, per_feature_normalization=False)]
         if min(np.count_nonzero(ds.labels == d) for d in ds.class_ids) >= 12:
             # 8 or more neighbours per class: row means summed pairwise.
-            cfgs += [KernelConfig(n_k=n_k, per_feature_normalization=n_k != 9) for n_k in (8, 9, 12)]
+            cfgs += [KernelConfig(delta, n_k=n_k, per_feature_normalization=n_k != 9) for n_k in (8, 9, 12)]
         for cfg in cfgs:
             engine = CriterionEngine(ds, cfg)
             assert (engine._store is not None) == stored
+            assert engine._grid == grid_exponent(ds.samples)
             expect = [dense_evaluate(ds, mask, cfg) for mask in masks]
             for mask, want in zip(masks, expect):
                 got = engine.evaluate(mask)
@@ -457,6 +468,18 @@ class TestBounds:
         assert 0.0 <= v.g_gamma <= 1.0
         assert -1.0 <= v.g_omega <= 1.0
         assert -0.5 <= v.gc <= 1.0
+
+    def test_overflowing_squared_distances_rejected(self):
+        # Values of +-1e200 once scored gc = 1.0 for every mask holding f0.
+        ds = make_dataset([[1e200, 0.0], [-1e200, 1.0], [1e200, 2.0]], [0, 1, 1])
+        for build in (CriterionEngine, lambda ds: FitnessCache(ds, N1), lambda ds: gc(ds, [0, 1])):
+            with pytest.raises(ValueError, match="overflow float64 at column 'f0'"):
+                build(ds)
+        # Each squared range is finite; their sum, the distance bound, is not.
+        ds = make_dataset([[0.0, 0.0], [1e154, 1e154]], [0, 1])
+        with pytest.raises(ValueError, match="overflow float64 at column 'f1'"):
+            CriterionEngine(ds)
+        assert CriterionEngine(make_dataset([[0.0], [1e154]], [0, 1])).evaluate([1]).gc == 1.0
 
     def test_empty_mask_rejected(self):
         with pytest.raises(ValueError, match="empty mask"):

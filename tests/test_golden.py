@@ -15,6 +15,7 @@ from golden.make_golden import (
     GOLDEN_DIR,
     ORACLE_CASES,
     OUTPUTS,
+    _differences,
     baseline_outputs,
 )
 
@@ -44,3 +45,11 @@ def test_oracle_matches_golden(name, tmp_path):
                *ORACLE_CASES[name]])
     assert rc == 0
     assert (tmp_path / "oracle.json").read_bytes() == (case_dir / "oracle.json").read_bytes()
+
+
+def test_compare_lists_changed_fields_and_every_float():
+    old = {"mask": "112", "fitness": 0.5, "log": [{"g": 1, "f": 0.25}], "n": 3}
+    new = {"mask": "113", "fitness": 0.5, "log": [{"g": 2, "f": 0.5}], "n": 3}
+    assert list(_differences(old, new)) == [
+        (".mask", "112", "113"), (".fitness", 0.5, 0.5), (".log[0].g", 1, 2), (".log[0].f", 0.25, 0.5)]
+    assert list(_differences([1, 2], [1, 2, 3])) == [("", [1, 2], [1, 2, 3])]

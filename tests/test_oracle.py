@@ -146,10 +146,10 @@ class TestMatchesReference:
 
 class TestChunking:
     @pytest.mark.parametrize("per_chunk, less", [(1, 0), (4, 0), (1, 1)],
-                             ids=["one-mask", "ragged", "no-checkpoint"])
+                             ids=["one-mask", "ragged", "below-one-width"])
     def test_same_result_for_any_chunk_size(self, per_chunk, less, monkeypatch):
         # 2^N - 1 masks are never a multiple of 4 when N >= 2, so the last
-        # chunk is short. A budget below one width keeps no checkpoint.
+        # chunk is short. A budget below one width still holds one mask.
         cases = [tie_heavy_problem(seed) for seed in range(30)]
         cases.append((make_dataset([[0.0], [1.0], [0.3]], [0, 1, 1]), KCFG))
         for seed, (ds, kcfg) in enumerate(cases):
@@ -292,6 +292,36 @@ class TestCoreSplit:
                               timeout=60, env=dict(os.environ, PYTHONPATH=src))
         assert proc.returncode == 0, proc.stderr
         assert (proc.stdout, proc.stderr) == ("before the sweep\n", "exit handler\n")
+
+    def test_scores_do_not_depend_on_blas_threads(self, benchmark_oracle):
+        # The CLI leaves BLAS threads unpinned. Stacked distances are a
+        # matrix product of exact sums, so the bits hold at any thread
+        # count, and children forked after BLAS has started its threads
+        # still finish.
+        code = ("import numpy as np\n"
+                "from frsel import KernelConfig, SynthSpec, oracle, synth_clusters, zscore_apply, zscore_fit\n"
+                "from frsel.criterion import CriterionEngine\n"
+                "oracle.usable_cores = lambda: 3\n"
+                "a = np.ones((300, 300)); a @ a\n"
+                "ds = synth_clusters(SynthSpec(), 0)\n"
+                "ds = zscore_apply(ds, zscore_fit(ds))\n"
+                "masks = np.random.default_rng(0).integers(0, 2, (400, 10), dtype=np.uint8)\n"
+                "masks[:, 0] = 1\n"
+                "print(CriterionEngine(ds, KernelConfig()).evaluate_many(masks).tobytes().hex())\n"
+                "r = oracle.exhaustive_best(ds, KernelConfig())\n"
+                "print(r.best_mask.tolist(), r.best_fitness.hex(), r.runner_up_fitness.hex())\n")
+        src = os.path.dirname(os.path.dirname(oracle.__file__))
+        outputs = []
+        for threads in ("1", "2"):
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                  timeout=120, env=dict(os.environ, PYTHONPATH=src,
+                                                        OPENBLAS_NUM_THREADS=threads))
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+        r = benchmark_oracle
+        assert outputs[0].splitlines()[1] == (
+            f"{r.best_mask.tolist()} {r.best_fitness.hex()} {r.runner_up_fitness.hex()}")
 
     def test_failed_fork_scores_in_the_caller(self, calls, monkeypatch):
         monkeypatch.setattr(oracle, "usable_cores", lambda: 3)
