@@ -321,9 +321,10 @@ class CriterionEngine:
                 else:
                     acc[...] = row
 
-    def _score(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(g_gamma, g_omega) of each row of a validated (M, N) stack of
-        non-empty masks, scored in the stack's order.
+    def _score(self, masks: np.ndarray):
+        """Yield (lo, g_gamma, g_omega) for each batch of a validated (M, N)
+        stack of non-empty masks, in the stack's order: the batch's first
+        row, and the two scores of its rows as fresh arrays.
 
         Distances form in chunks of masks, each chunk's sorted neighbours go
         into a tail batch of whole chunks, and the exp/sqrt/mean tail runs
@@ -338,8 +339,6 @@ class CriterionEngine:
         # Neighbours rank-major: one (c, n_out) plane per mask, see _rank_sums.
         nears = [np.empty((batch, c, n_out), dtype=np.float64) for n_out, c, _ in self._views]
         denom = (self.class_ids.size - 1) * self.ds.n_samples
-        gamma_total = np.zeros(n_masks, dtype=np.float64)
-        omega_total = np.zeros(n_masks, dtype=np.float64)
         for lo in range(0, n_masks, batch):
             part = masks[lo:lo + batch]
             m = part.shape[0]
@@ -357,17 +356,18 @@ class CriterionEngine:
                         block.sort(axis=2)
                         near[clo:clo + cm, :, where] = block[:, :, :c].swapaxes(1, 2)
             delta_eff = np.reshape(_effective_delta(self.cfg, part.sum(axis=1)), (-1, 1, 1))
-            gamma, omega = gamma_total[lo:lo + m], omega_total[lo:lo + m]
+            gamma_total = np.zeros(m, dtype=np.float64)
+            omega_total = np.zeros(m, dtype=np.float64)
             for near in nears:
                 c = near.shape[1]
                 k = np.exp(-near[:m] / delta_eff)
                 low = np.sqrt(np.maximum(0.0, 1.0 - k * k))
                 # Row means as ndarray.mean computes them: the sum, then / c.
-                gamma += (_rank_sums(low) / c).sum(axis=1)
-                omega += (_rank_sums(2.0 * low - 1.0) / c).sum(axis=1)
-        gamma_total /= denom
-        omega_total /= denom
-        return gamma_total, omega_total
+                gamma_total += (_rank_sums(low) / c).sum(axis=1)
+                omega_total += (_rank_sums(2.0 * low - 1.0) / c).sum(axis=1)
+            gamma_total /= denom
+            omega_total /= denom
+            yield lo, gamma_total, omega_total
 
     def _stack(self, masks, ndim: int) -> np.ndarray:
         """A validated (M, N) stack of non-empty masks from one mask (ndim 1)
@@ -379,13 +379,17 @@ class CriterionEngine:
 
     def evaluate(self, mask) -> CriterionValue:
         """Score one non-empty mask."""
-        g_gamma, g_omega = (float(v[0]) for v in self._score(self._stack(mask, 1)))
+        (_, g_gamma, g_omega), = self._score(self._stack(mask, 1))
+        g_gamma, g_omega = float(g_gamma[0]), float(g_omega[0])
         return CriterionValue(g_gamma=g_gamma, g_omega=g_omega, gc=(g_gamma + g_omega) / 2.0)
 
     def evaluate_many(self, masks) -> np.ndarray:
         """gc of each row of an (M, N) stack of non-empty masks."""
-        g_gamma, g_omega = self._score(self._stack(masks, 2))
-        return (g_gamma + g_omega) / 2.0
+        stack = self._stack(masks, 2)
+        gc = np.empty(stack.shape[0], dtype=np.float64)
+        for lo, g_gamma, g_omega in self._score(stack):
+            gc[lo:lo + g_gamma.size] = (g_gamma + g_omega) / 2.0
+        return gc
 
     def evaluate_split(self, masks, parts: int, helpers: Executor | None) -> np.ndarray:
         """evaluate_many's gc of each row, from at most `parts` contiguous,
