@@ -206,7 +206,8 @@ def _column_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(|a|, |b|) squared distances between the rows of a and of b: each
     column's squared differences added in column order (the bits of a sum
     from zero), through one temporary the size of the output. a and b need
-    at least one column. Every squared distance in the package forms here."""
+    at least one column. Every squared distance outside CriterionEngine,
+    which rounds its own to a grid, forms here."""
     out = np.subtract.outer(a[:, 0], b[:, 0])
     out *= out
     tmp = np.empty_like(out)

@@ -105,9 +105,11 @@ class FitnessCache:
     scores the other new masks with CriterionEngine.evaluate_split: with
     `workers` above 1, in up to `workers` contiguous slices, the first in
     the calling thread and the rest on a pool of workers - 1 helper threads.
-    Per-row scores do not depend on the stack, so the counter and the
-    stored values never depend on the worker count. Masks that are not 0/1
-    vectors of the dataset's width are rejected before any lookup.
+    A row's distances are exact sums on the engine's grid, so its score
+    does not depend on the stack or on the BLAS thread count, and the
+    counter and the stored values never depend on the worker count. Masks
+    that are not 0/1 vectors of the dataset's width are rejected before any
+    lookup.
     `neighborhoods` is the tabu walk's per-mask move table, kept here so it
     lives exactly as long as the memoized values it mirrors; ts_local_search
     describes its entries.
