@@ -322,7 +322,7 @@ class CriterionEngine:
                 else:
                     acc[...] = row
 
-    def _score(self, masks: np.ndarray):
+    def _score(self, masks: np.ndarray, cap: int | None = None):
         """Yield (lo, g_gamma, g_omega) for each batch of a validated (M, N)
         stack of non-empty masks, in the stack's order: the batch's first
         row, and the two scores of its rows as fresh arrays.
@@ -331,6 +331,14 @@ class CriterionEngine:
         into a tail batch of whole chunks, and the exp/sqrt/mean tail runs
         once per batch. _MASK_CHUNK_BUDGET bounds a chunk's distances and,
         at a quarter, a batch's neighbours.
+
+        With a cap of at least n_k, each sample's neighbours in a class are
+        drawn from that class's first cap members only, so each block sorts
+        rows at most cap wide. The r-th nearest of a subset is no nearer
+        than the r-th nearest of the whole class, and every later step is
+        monotone except np.exp, so both scores are then upper bounds of the
+        uncapped ones, up to np.exp's rounding (see oracle.exhaustive_best).
+        Where the cap covers every class they are the uncapped bits.
         """
         n_masks = masks.shape[0]
         step = max(1, _MASK_CHUNK_BUDGET // self._width)
@@ -352,8 +360,10 @@ class CriterionEngine:
                     for where, flat, shape, transposed in parts:
                         # An untransposed block may be sorted in place in the
                         # chunk: the lower class's view read its pair first.
+                        # The candidates lie along a transposed block's rows.
                         block = chunk[:, flat].reshape(cm, *shape)
-                        block = np.ascontiguousarray(block.swapaxes(1, 2) if transposed else block)
+                        block = block[:, :cap].swapaxes(1, 2) if transposed else block[:, :, :cap]
+                        block = np.ascontiguousarray(block)
                         block.sort(axis=2)
                         near[clo:clo + cm, :, where] = block[:, :, :c].swapaxes(1, 2)
             delta_eff = np.reshape(_effective_delta(self.cfg, part.sum(axis=1)), (-1, 1, 1))
@@ -386,28 +396,35 @@ class CriterionEngine:
 
     def evaluate_many(self, masks) -> np.ndarray:
         """gc of each row of an (M, N) stack of non-empty masks."""
+        return self._gc_many(masks)
+
+    def _gc_many(self, masks, cap: int | None = None) -> np.ndarray:
+        """evaluate_many, or with a cap of at least n_k the upper bound of
+        each row's gc that _score gives with that cap."""
         stack = self._stack(masks, 2)
         gc = np.empty(stack.shape[0], dtype=np.float64)
-        for lo, g_gamma, g_omega in self._score(stack):
+        for lo, g_gamma, g_omega in self._score(stack, cap):
             gc[lo:lo + g_gamma.size] = (g_gamma + g_omega) / 2.0
         return gc
 
-    def evaluate_split(self, masks, parts: int, helpers: Executor | None) -> np.ndarray:
-        """evaluate_many's gc of each row, from at most `parts` contiguous,
-        non-empty slices of the stack: the first scored in the calling
-        thread, each other one by `helpers`, any object whose
-        submit(evaluate_many, part) returns a handle with result(): a
+    def evaluate_split(self, masks, parts: int, helpers: Executor | None, score=None) -> np.ndarray:
+        """score's value of each row, evaluate_many's gc by default, from at
+        most `parts` contiguous, non-empty slices of the stack: the first
+        scored in the calling thread, each other one by `helpers`, any
+        object whose submit(score, part) returns a handle with result(): a
         thread pool with parts - 1 threads (FitnessCache), or forked
         processes (the oracle). A row's distances are exact sums on the
         engine's grid, so its score does not depend on the stack it is in,
         and the bits do not depend on `parts` or on the helpers.
         """
+        if score is None:
+            score = self.evaluate_many
         parts = min(len(masks), parts)
         if parts < 2:
-            return self.evaluate_many(masks)
+            return score(masks)
         slices = np.array_split(masks, parts)
-        rest = [helpers.submit(self.evaluate_many, part) for part in slices[1:]]
-        first = self.evaluate_many(slices[0])
+        rest = [helpers.submit(score, part) for part in slices[1:]]
+        first = score(slices[0])
         return np.concatenate([first, *(future.result() for future in rest)])
 
 

@@ -15,13 +15,21 @@ from .datasets import Dataset
 
 DEFAULT_MAX_N = 20
 
+# The bound pass draws each sample's neighbours from the first this many
+# members of each class (at least n_k). numpy sorts a row of up to 32 in
+# about a third of the time of a 100-wide one; a cap of 16 leaves too many
+# masks unpruned on overlapping classes.
+_BOUND_CANDIDATES = 32
+
 
 @dataclass(frozen=True, eq=False)
 class OracleResult:
     """Optimum over every non-empty mask, plus the best losing fitness.
 
     runner_up_fitness is the highest fitness among masks other than
-    best_mask; None only when a single candidate exists (N = 1).
+    best_mask; None only when a single candidate exists (N = 1). evaluated
+    is 2^N - 1, the masks the certificate covers: each was scored in full
+    or shown by its bound to score below the runner-up.
     """
 
     best_mask: np.ndarray
@@ -123,30 +131,59 @@ class _ForkedHelpers:
             piece.reap()
 
 
+def _sweep(engine: CriterionEngine, masks: np.ndarray, score=None) -> np.ndarray:
+    """engine.evaluate_split over masks on every usable core, with forked
+    children as its helpers."""
+    with _ForkedHelpers() as helpers:
+        return engine.evaluate_split(masks, usable_cores(), helpers, score)
+
+
 def exhaustive_best(
     ds: Dataset, kcfg: KernelConfig = KernelConfig(), max_n: int = DEFAULT_MAX_N
 ) -> OracleResult:
-    """Score all 2^N - 1 non-empty masks and return the certified optimum.
+    """Certify the optimum over all 2^N - 1 non-empty masks.
 
-    Every mask is scored first, then one stable sort selects: highest
-    fitness, then smaller popcount, then smaller mask integer, so the result
-    is reproducible when distinct masks score identically. The runner-up is
-    the next mask in that order. The max_n guard caps the exponential sweep,
-    whose mask table takes 2^N * N bytes.
+    The selection rule: highest fitness, then smaller popcount, then
+    smaller mask integer, so the result is reproducible when distinct masks
+    score identically. The runner-up is the next mask in that order. The
+    max_n guard caps the exponential sweep, whose mask table takes 2^N * N
+    bytes.
 
-    The sweep runs on every core the process may run on (usable_cores): the
-    mask table is cut into that many contiguous slices, the first scored in
+    Two passes find it without scoring every mask in full (branch and
+    bound, after Narendra and Fukunaga, 1977, with a bound per mask):
+
+    1. Every mask gets an upper bound of its gc: the criterion with each
+       sample's neighbours drawn from the first max(_BOUND_CANDIDATES,
+       n_k) members of each class (see CriterionEngine._score).
+    2. The two masks with the largest bounds are scored in full; the lower
+       of their two scores, r, is at most the runner-up's fitness. Every
+       mask whose bound is at least r - 2^-20 is scored in full, and the
+       rule above selects among those in table order.
+
+    A mask left out scores below r, so it is neither the optimum nor the
+    runner-up, and the result is the one scoring every mask would give.
+    The margin covers np.exp, the one step of the bound that is not
+    monotone: for a larger distance it may return a k up to a few ulps
+    larger, m ulps of 1 say. sqrt(1 - k^2) then falls by at most
+    sqrt(2 * m * 2^-53) = sqrt(m) * 2^-26, about 1.5e-8 for m = 1; the worst
+    case is k near 1, at a duplicate cross-class row. The weights of all
+    neighbour values in gc add up to 1.5, so gc falls by at most
+    1.5 * sqrt(m) * 2^-26, below 2^-20 for m up to 1,800. evaluated counts
+    the masks the certificate covers, 2^N - 1.
+
+    Each pass runs on every core the process may run on (usable_cores):
+    its masks are cut into that many contiguous slices, the first scored in
     the calling thread and each other one in a child process forked for the
-    sweep, which writes its scores to shared memory. A child runs numpy
+    pass, which writes its scores to shared memory. A child runs numpy
     without waiting on the caller's interpreter lock. Fork is used only
     where os.fork exists, the platform is not macOS, and the caller is the
     process's only Python thread; otherwise, or when os.fork fails, the
     calling thread scores that slice too. Every child is waited for before
     the call returns or raises, and a child that fails raises RuntimeError.
-    Scores do not depend on the cut or on where a slice runs, so the result
-    does not depend on the core count; CPU affinity (taskset) is the
-    control. Each child holds its own kernel buffers, about 2 MB, which the
-    caller's peak RSS does not show.
+    Scores and bounds do not depend on the cut or on where a slice runs, so
+    the result does not depend on the core count; CPU affinity (taskset)
+    is the control. Each child holds its own kernel buffers, about 2 MB,
+    which the caller's peak RSS does not show.
     """
     n = ds.n_features
     if n > max_n:
@@ -156,11 +193,16 @@ def exhaustive_best(
     for j in range(n):
         masks[:, j] = (ints >> j) & 1
     engine = CriterionEngine(ds, kcfg)
-    with _ForkedHelpers() as helpers:
-        scores = engine.evaluate_split(masks, usable_cores(), helpers)
-    order = np.lexsort((masks.sum(axis=1, dtype=np.uint8), -scores))
+    kept = masks
+    if n > 1:
+        cap = max(_BOUND_CANDIDATES, kcfg.n_k)
+        bounds = _sweep(engine, masks, lambda part: engine._gc_many(part, cap))
+        r = engine.evaluate_many(masks[np.argpartition(bounds, -2)[-2:]]).min()
+        kept = masks[bounds >= r - 2.0 ** -20]
+    scores = _sweep(engine, kept)
+    order = np.lexsort((kept.sum(axis=1, dtype=np.uint8), -scores))
     return OracleResult(
-        best_mask=masks[order[0]].copy(),
+        best_mask=kept[order[0]].copy(),
         best_fitness=float(scores[order[0]]),
         evaluated=ints.size,
         runner_up_fitness=float(scores[order[1]]) if n > 1 else None,

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_dataset
-from frsel import KernelConfig, criterion, gc
+from conftest import make_dataset, standardize
+from frsel import KernelConfig, SynthSpec, criterion, gc, oracle, synth_clusters
 from frsel.criterion import (
     CriterionEngine,
     _column_sq_dists,
@@ -335,6 +335,57 @@ class TestMatchesDenseEngine:
                     got = engine.evaluate_many(masks[rows])
                     assert got.dtype == np.float64
                     assert got.tolist() == want[rows].tolist()
+
+
+def _bound_case(name):
+    """(dataset, KernelConfig) for TestBoundPass: the 200x10 benchmark set,
+    or 3 classes of 40 on a 0.1 grid, varied by name."""
+    if name == "benchmark":
+        return standardize(synth_clusters(SynthSpec(), seed=0)), KernelConfig()
+    rng = np.random.default_rng(sum(map(ord, name)))
+    labels = np.arange(120) % 3
+    samples = np.round(rng.normal(size=(120, 8)), 1)
+    samples[:, :2] += 1.5 * labels[:, None]
+    cfg = KernelConfig()
+    if name.startswith("n_k="):
+        cfg = KernelConfig(n_k=int(name[4:]))
+    elif name == "unnormalized":
+        cfg = KernelConfig(delta=4.0, per_feature_normalization=False)
+    elif name == "duplicates":
+        # Rows of class 0 repeated in classes 1 and 2: distance 0, where
+        # sqrt(1 - k^2) is most sensitive to the rounding of k.
+        zero, one, two = (np.flatnonzero(labels == d) for d in range(3))
+        samples[one[:10]] = samples[zero[:10]]
+        samples[two[30:]] = samples[zero[30:]]
+    elif name == "constant-column":
+        samples[:, 2] = 0.4
+    elif name == "single-sample":
+        labels[labels == 2] = 1
+        labels[0] = 2
+    return make_dataset(samples, labels), cfg
+
+
+class TestBoundPass:
+    """The oracle's bound pass: _gc_many with a cap of max(32, n_k) bounds
+    every mask's gc from above, within the oracle's margin of 2^-20, and
+    equals it where the cap covers every class. n_k=40 covers classes of
+    40; the benchmark set has classes of 100."""
+
+    @pytest.mark.parametrize("name", ["benchmark", "three-class", "n_k=1", "n_k=10", "n_k=40",
+                                      "unnormalized", "duplicates", "constant-column",
+                                      "single-sample"])
+    def test_bound_covers_every_mask(self, name):
+        ds, cfg = _bound_case(name)
+        engine = CriterionEngine(ds, cfg)
+        masks = np.array([int_to_mask(v, ds.n_features) for v in range(1, 1 << ds.n_features)])
+        cap = max(oracle._BOUND_CANDIDATES, cfg.n_k)
+        bound = engine._gc_many(masks, cap)
+        exact = engine.evaluate_many(masks)
+        assert (bound + 2.0 ** -20 >= exact).all()
+        if cap >= max(np.count_nonzero(ds.labels == d) for d in ds.class_ids):
+            assert bound.tolist() == exact.tolist()
+        else:
+            assert (bound > exact).any()
 
 
 class TestEvaluateMany:

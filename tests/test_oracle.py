@@ -124,10 +124,58 @@ def tie_heavy_problem(seed: int):
     return make_dataset(samples, labels), KernelConfig(n_k=int(rng.integers(1, 4)))
 
 
+@pytest.fixture
+def sweeps(monkeypatch):
+    """(pass, mask count) of each oracle pass, "bound" or "exact"."""
+    log = []
+    sweep = oracle._sweep
+
+    def spy(engine, masks, score=None):
+        log.append(("exact" if score is None else "bound", len(masks)))
+        return sweep(engine, masks, score)
+
+    monkeypatch.setattr(oracle, "_sweep", spy)
+    return log
+
+
+def force_pruning(monkeypatch):
+    """Patch the oracle's candidate cap to 1, which makes the effective cap
+    n_k, so bounds are loose even on classes as small as these. Returns a
+    list that gets, for each exhaustive_best call with N >= 2, the number
+    of masks whose bound exceeds their full score and the number pruned."""
+    monkeypatch.setattr(oracle, "_BOUND_CANDIDATES", 1)
+    log, bound_pass = [], []
+    sweep = oracle._sweep
+
+    def spy(engine, masks, score=None):
+        out = sweep(engine, masks, score)
+        if score is not None:
+            bound_pass.append((np.count_nonzero(out > engine.evaluate_many(masks)), len(masks)))
+        elif bound_pass:
+            loose, swept = bound_pass.pop()
+            log.append((loose, swept - len(masks)))
+        return out
+
+    monkeypatch.setattr(oracle, "_sweep", spy)
+    return log
+
+
+def assert_loosely_pruned(log):
+    """Some call had bounds above full scores and pruned masks, so the
+    pruning path cannot have passed vacuously."""
+    assert any(loose > 0 and pruned > 0 for loose, pruned in log)
+
+
 class TestMatchesReference:
-    @pytest.mark.parametrize("problem", [random_small_problem, tie_heavy_problem])
-    def test_same_optimum_and_runner_up(self, problem):
+    # Each case runs as it is, and with forced pruning (ids ending -pruned).
+    @pytest.mark.parametrize("problem, pruning", [
+        (random_small_problem, False), (tie_heavy_problem, False),
+        (random_small_problem, True), (tie_heavy_problem, True),
+    ], ids=["random_small_problem", "tie_heavy_problem",
+            "random_small_problem-pruned", "tie_heavy_problem-pruned"])
+    def test_same_optimum_and_runner_up(self, problem, pruning, monkeypatch):
         # Floats compare by repr, so a signed zero or any last-bit change shows.
+        log = force_pruning(monkeypatch) if pruning else None
         ties = 0
         for seed in range(60):
             ds, kcfg = problem(seed)
@@ -142,14 +190,20 @@ class TestMatchesReference:
             ties += runner_up == best
         if problem is tie_heavy_problem:
             assert ties >= 10
+        if pruning:
+            assert_loosely_pruned(log)
 
 
 class TestChunking:
-    @pytest.mark.parametrize("per_chunk, less", [(1, 0), (4, 0), (1, 1)],
-                             ids=["one-mask", "ragged", "below-one-width"])
-    def test_same_result_for_any_chunk_size(self, per_chunk, less, monkeypatch):
+    @pytest.mark.parametrize("per_chunk, less, pruning", [
+        (1, 0, False), (4, 0, False), (1, 1, False),
+        (1, 0, True), (4, 0, True), (1, 1, True),
+    ], ids=["one-mask", "ragged", "below-one-width",
+            "one-mask-pruned", "ragged-pruned", "below-one-width-pruned"])
+    def test_same_result_for_any_chunk_size(self, per_chunk, less, pruning, monkeypatch):
         # 2^N - 1 masks are never a multiple of 4 when N >= 2, so the last
         # chunk is short. A budget below one width still holds one mask.
+        log = force_pruning(monkeypatch) if pruning else None
         cases = [tie_heavy_problem(seed) for seed in range(30)]
         cases.append((make_dataset([[0.0], [1.0], [0.3]], [0, 1, 1]), KCFG))
         for seed, (ds, kcfg) in enumerate(cases):
@@ -162,6 +216,8 @@ class TestChunking:
             assert got.evaluated == evaluated, case
             assert repr(got.best_fitness) == repr(best), case
             assert repr(got.runner_up_fitness) == repr(runner_up), case
+        if pruning:
+            assert_loosely_pruned(log)
 
 
 def assert_no_child():
@@ -175,10 +231,23 @@ def result_key(result):
             result.runner_up_fitness.hex(), result.evaluated)
 
 
+def assert_every_slice_in_the_caller(calls, sweeps):
+    """On three cores, the calls show each pass's three slices (or as many
+    as it has masks) and the two top masks, all scored in this process."""
+    (_, swept), (_, kept) = sweeps
+    sizes = [(len(rows), cap) for rows, cap in calls]
+    exact = [len(part) for part in np.array_split(np.empty(kept), min(kept, 3))]
+    assert sizes == ([(swept // 3, oracle._BOUND_CANDIDATES)] * 3 + [(2, None)]
+                     + [(size, None) for size in exact])
+
+
 class TestCoreSplit:
-    """The sweep cuts its mask table into one slice per usable core; the
-    calling thread scores the first and forked child processes the rest, or
-    the calling thread scores them all where it may not fork."""
+    """Each pass of the oracle, the bound pass over the whole mask table and
+    the exact pass over the masks the bound keeps, cuts its masks into one
+    slice per usable core; the calling thread scores the first and forked
+    child processes the rest, or the calling thread scores them all where it
+    may not fork. Between the passes the calling thread scores the two
+    masks with the largest bounds."""
 
     DS = standardize(synth_clusters(SynthSpec(n_noise=5, samples_per_class=30), 3))
 
@@ -195,16 +264,17 @@ class TestCoreSplit:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Rows of every evaluate_many call this process makes; a child's
-        calls land in the child's copy of the list."""
+        """(rows, cap) of every scoring call this process makes, the cap
+        None for full scores; a child's calls land in the child's copy of
+        the list."""
         log = []
-        evaluate_many = CriterionEngine.evaluate_many
+        gc_many = CriterionEngine._gc_many
 
-        def spy(engine, masks):
-            log.append(masks.copy())
-            return evaluate_many(engine, masks)
+        def spy(engine, masks, cap=None):
+            log.append((masks.copy(), cap))
+            return gc_many(engine, masks, cap)
 
-        monkeypatch.setattr(CriterionEngine, "evaluate_many", spy)
+        monkeypatch.setattr(CriterionEngine, "_gc_many", spy)
         return log
 
     @pytest.fixture
@@ -220,51 +290,63 @@ class TestCoreSplit:
         monkeypatch.setattr(os, "fork", counted)
         return log
 
-    def test_result_does_not_depend_on_core_count(self, calls, forks, monkeypatch):
+    def test_result_does_not_depend_on_core_count(self, calls, forks, sweeps, monkeypatch):
         results = []
         for cores in (1, 2, 3):
             monkeypatch.setattr(oracle, "usable_cores", lambda: cores)
             calls.clear()
             forks.clear()
+            sweeps.clear()
             results.append(result_key(exhaustive_best(self.DS, KCFG)))
-            assert len(forks) == cores - 1
-            assert len(calls) == 1 and len(calls[0]) == -(-(2 ** 8 - 1) // cores)
-            assert calls[0][0].tolist() == [1] + [0] * 7
+            (_, swept), (_, kept) = sweeps
+            assert sweeps == [("bound", 2 ** 8 - 1), ("exact", kept)] and kept >= 2
+            assert len(forks) == (cores - 1) + (min(kept, cores) - 1)
+            (bound, cap), (top, top_cap), (first, first_cap) = calls
+            assert cap == oracle._BOUND_CANDIDATES and len(bound) == -(-swept // cores)
+            assert bound[0].tolist() == [1] + [0] * 7
+            assert top_cap is None and len(top) == 2
+            assert first_cap is None and len(first) == -(-kept // min(kept, cores))
             assert_no_child()
         assert results[0] == results[1] == results[2]
 
-    def test_one_mask_starts_no_thread(self, calls, forks, monkeypatch):
+    def test_one_mask_starts_no_thread(self, calls, forks, sweeps, monkeypatch):
         monkeypatch.setattr(oracle, "usable_cores", lambda: 2)
         result = exhaustive_best(make_dataset([[0.0], [1.0]], [0, 1]), KCFG)
         assert result.evaluated == 1
-        assert [rows.tolist() for rows in calls] == [[[1]]]
+        assert sweeps == [("exact", 1)]
+        assert [(rows.tolist(), cap) for rows, cap in calls] == [([[1]], None)]
         assert forks == [] and threading.active_count() == 1
 
-    @pytest.mark.parametrize("where", ["child", "caller"])
-    def test_failing_slice_raises_and_leaves_no_child(self, where, monkeypatch):
+    @pytest.mark.parametrize("where, fails", [
+        ("child", "bound"), ("caller", "bound"), ("child", "exact"), ("caller", "exact"),
+    ], ids=["child", "caller", "child-exact", "caller-exact"])
+    def test_failing_slice_raises_and_leaves_no_child(self, where, fails, sweeps, monkeypatch):
+        # Three cores: the exact pass keeps at least two masks, so it forks.
         monkeypatch.setattr(oracle, "usable_cores", lambda: 3)
         caller = os.getpid()
-        evaluate_many = CriterionEngine.evaluate_many
+        gc_many = CriterionEngine._gc_many
 
-        def failing(engine, masks):
-            if (os.getpid() == caller) == (where == "caller"):
+        def failing(engine, masks, cap=None):
+            if (os.getpid() == caller) == (where == "caller") and sweeps[-1][0] == fails:
                 raise ValueError("slice failed")
-            return evaluate_many(engine, masks)
+            return gc_many(engine, masks, cap)
 
-        monkeypatch.setattr(CriterionEngine, "evaluate_many", failing)
+        monkeypatch.setattr(CriterionEngine, "_gc_many", failing)
         if where == "child":
-            with pytest.raises(RuntimeError, match=r"slice 1 \(85 masks\) exited with code 1"):
+            size = r"85" if fails == "bound" else r"\d+"
+            with pytest.raises(RuntimeError, match=rf"slice 1 \({size} masks\) exited with code 1"):
                 exhaustive_best(self.DS, KCFG)
         else:
             with pytest.raises(ValueError, match="slice failed"):
                 exhaustive_best(self.DS, KCFG)
         assert_no_child()
 
-    def test_second_thread_forks_nothing(self, calls, forks, monkeypatch):
+    def test_second_thread_forks_nothing(self, calls, forks, sweeps, monkeypatch):
         monkeypatch.setattr(oracle, "usable_cores", lambda: 3)
         forked = result_key(exhaustive_best(self.DS, KCFG))
         calls.clear()
         forks.clear()
+        sweeps.clear()
         stop = threading.Event()
         other = threading.Thread(target=stop.wait)
         other.start()
@@ -274,7 +356,8 @@ class TestCoreSplit:
             stop.set()
             other.join(timeout=30)
         assert not other.is_alive()
-        assert forks == [] and [len(rows) for rows in calls] == [85, 85, 85]
+        assert forks == []
+        assert_every_slice_in_the_caller(calls, sweeps)
         assert in_thread == forked
 
     def test_children_leave_stdio_buffers_and_exit_handlers_alone(self):
@@ -323,7 +406,7 @@ class TestCoreSplit:
         assert outputs[0].splitlines()[1] == (
             f"{r.best_mask.tolist()} {r.best_fitness.hex()} {r.runner_up_fitness.hex()}")
 
-    def test_failed_fork_scores_in_the_caller(self, calls, monkeypatch):
+    def test_failed_fork_scores_in_the_caller(self, calls, sweeps, monkeypatch):
         monkeypatch.setattr(oracle, "usable_cores", lambda: 3)
         forked = result_key(exhaustive_best(self.DS, KCFG))
         calls.clear()
@@ -332,8 +415,9 @@ class TestCoreSplit:
             raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
 
         monkeypatch.setattr(os, "fork", no_fork)
+        sweeps.clear()
         assert result_key(exhaustive_best(self.DS, KCFG)) == forked
-        assert [len(rows) for rows in calls] == [85, 85, 85]
+        assert_every_slice_in_the_caller(calls, sweeps)
 
 
 class TestMAAgainstOracle:
