@@ -182,7 +182,7 @@ def exhaustive_best(
     the call returns or raises, and a child that fails raises RuntimeError.
     Scores and bounds do not depend on the cut or on where a slice runs, so
     the result does not depend on the core count; CPU affinity (taskset)
-    is the control. Each child holds its own kernel buffers, about 2 MB,
+    is the control. Each child holds its own kernel buffers, about 1.5 MB,
     which the caller's peak RSS does not show.
     """
     n = ds.n_features
