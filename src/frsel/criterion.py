@@ -25,6 +25,7 @@ score inside its bounds on tiny datasets.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -39,11 +40,11 @@ if TYPE_CHECKING:
 # precomputed and each evaluation builds its cross-class distances itself.
 _STORE_BUDGET = 8_000_000
 
-# Masks are scored in chunks whose flat distance rows hold at most this many
-# float64 elements (512 KB), and at least one mask. The sorted copy of one
-# class-pair block is no larger, and at a quarter the budget bounds the
-# neighbours of one tail batch (at least one chunk), so the kernel's buffers
-# stay near 1.5 MB.
+# A chunk of masks holds at least one mask, and its tile for the widest
+# class pair at most this many float64 elements (512 KB) unless, with the
+# store, it takes ceil(N/4) masks: a product reads all N store rows once per
+# chunk. A copy group of transposed candidates is no larger, or one mask;
+# a quarter of it bounds one tail batch's neighbours (at least one chunk).
 _MASK_CHUNK_BUDGET = 1 << 16
 
 
@@ -234,7 +235,8 @@ class CriterionEngine:
 
     Only cross-class distances enter the score. They lie flat, one row-major
     (|a|, |b|) block per class pair a < b, read transposed for the reverse
-    direction. Each feature's squared differences are rounded to the
+    direction, and a chunk of masks is scored one pair's tile at a time
+    (see _score). Each feature's squared differences are rounded to the
     nearest multiple of one grid step, 2^-e, where e is the largest integer
     with B * 2^e <= 2^51 and B, the sum over the columns of their squared
     ranges, bounds every squared distance. Every sum of rounded squared
@@ -263,74 +265,67 @@ class CriterionEngine:
         frac, exp = np.frexp(bound[-1])
         self._grid = int(51 - exp + (frac == 0.5))  # the e of the class docstring
         self._members = [np.flatnonzero(ds.labels == d) for d in self.class_ids]
-        sizes = [m.size for m in self._members]
-        self._pairs: list[tuple[int, int, slice]] = []
-        self._width = 0
-        for a in range(len(sizes)):
-            for b in range(a + 1, len(sizes)):
-                self._pairs.append((a, b, slice(self._width, self._width + sizes[a] * sizes[b])))
-                self._width += sizes[a] * sizes[b]
-        # Per class d: its outsider count, the neighbours kept per outsider,
-        # and for each pair (a, b) that holds d, the rows of d's outsiders,
-        # in sample order, that the other class fills.
-        self._views = []
-        for d, members in enumerate(self._members):
-            outsiders = np.flatnonzero(ds.labels != self.class_ids[d])
-            parts = []
-            for a, b, flat in self._pairs:
-                if d in (a, b):
-                    rows = np.searchsorted(outsiders, self._members[b if d == a else a])
-                    if rows[-1] - rows[0] == rows.size - 1:  # a run: fill it as a slice
-                        rows = slice(rows[0], rows[-1] + 1)
-                    parts.append((rows, flat, (sizes[a], sizes[b]), d == a))
-            self._views.append((outsiders.size, min(cfg.n_k, members.size), parts))
-        self._near_per_mask = sum(n_out * c for n_out, c, _ in self._views)
+        outsiders = [np.flatnonzero(ds.labels != d) for d in self.class_ids]
+        # Per class: its outsider count and the neighbours kept per outsider.
+        # Per pair a < b: its flat block, its shape, and the rows of a's
+        # outsiders that b's members fill and of b's that a's fill, in sample
+        # order (the tail's pairwise sums depend on it), a run as a slice.
+        self._views = [(out.size, min(cfg.n_k, ms.size)) for out, ms in zip(outsiders, self._members)]
+        self._pairs = []
+        width = 0
+        for a, b in itertools.combinations(range(len(self._members)), 2):
+            rows = [np.searchsorted(outsiders[d], self._members[e]) for d, e in ((a, b), (b, a))]
+            rows = [slice(r[0], r[-1] + 1) if r[-1] - r[0] == r.size - 1 else r for r in rows]
+            shape = (self._members[a].size, self._members[b].size)
+            self._pairs.append((a, b, slice(width, width + shape[0] * shape[1]), shape, *rows))
+            width += shape[0] * shape[1]
+        self._widest = max(flat.stop - flat.start for _, _, flat, *_ in self._pairs)
         self._store: np.ndarray | None = None
-        if ds.n_features * self._width <= _STORE_BUDGET:
-            self._store = self._sq_diffs(range(ds.n_features))
+        if ds.n_features * width <= _STORE_BUDGET:
+            self._store = np.empty((ds.n_features, width), dtype=np.float64)
+            for a, b, flat, *_ in self._pairs:
+                for j, row in enumerate(self._store[:, flat]):
+                    self._sq_diffs(j, a, b, row)
 
-    def _sq_diffs(self, cols) -> np.ndarray:
-        """(len(cols), width) flat cross-class squared differences of the
-        columns cols, each rounded to the grid in place, one column and one
-        class pair at a time, so every pass runs on a block of |a| * |b|."""
-        out = np.empty((len(cols), self._width), dtype=np.float64)
-        for row, j in zip(out, cols):
-            col = self.ds.samples[:, j]
-            for a, b, flat in self._pairs:
-                block = row[flat].reshape(self._members[a].size, self._members[b].size)
-                np.subtract.outer(col[self._members[a]], col[self._members[b]], out=block)
-                np.square(block, out=block)
-                np.ldexp(block, self._grid, out=block)
-                np.rint(block, out=block)
-                np.ldexp(block, -self._grid, out=block)
+    def _sq_diffs(self, j: int, a: int, b: int, out: np.ndarray) -> np.ndarray:
+        """Column j's squared differences between classes a and b, rounded
+        to the grid, written row-major to the flat, contiguous out."""
+        col = self.ds.samples[:, j]
+        block = out.reshape(self._members[a].size, self._members[b].size)
+        np.subtract.outer(col[self._members[a]], col[self._members[b]], out=block)
+        np.square(block, out=block)
+        np.ldexp(block, self._grid, out=block)
+        np.rint(block, out=block)
+        np.ldexp(block, -self._grid, out=block)
         return out
 
-    def _sq_dists(self, part: np.ndarray, out: np.ndarray) -> None:
-        """Flat cross-class squared distances of the masks part, written to
-        the rows of out. With the store, two or more rows take one matrix
-        product; a single row, or any row without the store, adds its
-        selected features' rows. Every sum is exact, so both give the same
-        bits."""
-        if self._store is not None and len(part) > 1:
-            np.matmul(part.astype(np.float64), self._store, out=out)
+    def _sq_dists(self, chunk: np.ndarray, pair, tile: np.ndarray) -> None:
+        """One class pair's flat squared distances for each mask of chunk,
+        written to the rows of tile. With the store, two or more rows take
+        one matrix product with the pair's store columns; a single row, or
+        any row without the store, adds its selected features' rows of the
+        pair's block. Every sum is exact, so both give the same bits."""
+        a, b, flat, *_ = pair
+        if self._store is not None and len(chunk) > 1:
+            np.matmul(chunk.astype(np.float64), self._store[:, flat], out=tile)
             return
-        for mask, acc in zip(part, out):
-            for i, j in enumerate(mask.nonzero()[0]):
-                row = self._sq_diffs([j])[0] if self._store is None else self._store[j]
-                if i:
-                    acc += row
-                else:
-                    acc[...] = row
+        spare = np.empty(tile.shape[1]) if self._store is None else None
+        tile.fill(0.0)
+        for mask, acc in zip(chunk, tile):
+            for j in mask.nonzero()[0]:
+                acc += self._store[j, flat] if spare is None else self._sq_diffs(j, a, b, spare)
 
     def _score(self, masks: np.ndarray, cap: int | None = None):
         """Yield (lo, g_gamma, g_omega) for each batch of a validated (M, N)
         stack of non-empty masks, in the stack's order: the batch's first
         row, and the two scores of its rows as fresh arrays.
 
-        Distances form in chunks of masks, each chunk's sorted neighbours go
-        into a tail batch of whole chunks, and the exp/sqrt/mean tail runs
-        once per batch. _MASK_CHUNK_BUDGET bounds a chunk's distances and,
-        at a quarter, a batch's neighbours.
+        Distances form pair-major per chunk of masks: a pair (a, b)'s tile
+        holds the chunk's (|a|, |b|) blocks. a's view sorts copies of its
+        transposed candidates, in groups of at most _MASK_CHUNK_BUDGET
+        elements or one mask; b's view then sorts the tile in place. The
+        sorted neighbours go into a tail batch of whole chunks, at most a
+        quarter of the budget or one chunk, scored once per batch.
 
         With a cap of at least n_k, each sample's neighbours in a class are
         drawn from that class's first cap members only, so each block sorts
@@ -341,31 +336,36 @@ class CriterionEngine:
         Where the cap covers every class they are the uncapped bits.
         """
         n_masks = masks.shape[0]
-        step = max(1, _MASK_CHUNK_BUDGET // self._width)
-        per_batch = max(1, _MASK_CHUNK_BUDGET // 4 // (step * self._near_per_mask))
-        batch = max(1, min(n_masks, step * per_batch))
-        d2 = np.empty((min(step, n_masks), self._width), dtype=np.float64)
+        # A chunk's tile for the widest pair fits the budget, or holds one
+        # mask; with the store, ceil(N/4) or more, as a product reads N rows.
+        floor = 1 if self._store is None else -(-self.ds.n_features // 4)
+        step = max(floor, _MASK_CHUNK_BUDGET // self._widest)
+        near_per_mask = sum(n_out * c for n_out, c in self._views)
+        batch = max(1, min(n_masks, step * max(1, _MASK_CHUNK_BUDGET // 4 // (step * near_per_mask))))
+        tiles = np.empty(min(step, n_masks) * self._widest, dtype=np.float64)
         # Neighbours rank-major: one (c, n_out) plane per mask, see _rank_sums.
-        nears = [np.empty((batch, c, n_out), dtype=np.float64) for n_out, c, _ in self._views]
+        nears = [np.empty((batch, c, n_out), dtype=np.float64) for n_out, c in self._views]
         denom = (self.class_ids.size - 1) * self.ds.n_samples
         for lo in range(0, n_masks, batch):
             part = masks[lo:lo + batch]
             m = part.shape[0]
             for clo in range(0, m, step):
-                chunk = d2[:min(step, m - clo)]
+                chunk = part[clo:clo + step]
                 cm = chunk.shape[0]
-                self._sq_dists(part[clo:clo + cm], chunk)
-                for (_, c, parts), near in zip(self._views, nears):
-                    # The pairwise sums below depend on row order: keep sample order.
-                    for where, flat, shape, transposed in parts:
-                        # An untransposed block may be sorted in place in the
-                        # chunk: the lower class's view read its pair first.
-                        # The candidates lie along a transposed block's rows.
-                        block = chunk[:, flat].reshape(cm, *shape)
-                        block = block[:, :cap].swapaxes(1, 2) if transposed else block[:, :, :cap]
-                        block = np.ascontiguousarray(block)
+                for pair in self._pairs:
+                    a, b, _, shape, rows_a, rows_b = pair
+                    tile = tiles[:cm * shape[0] * shape[1]].reshape(cm, *shape)
+                    self._sq_dists(chunk, pair, tile.reshape(cm, -1))
+                    group = max(1, _MASK_CHUNK_BUDGET // tile[0, :cap].size)
+                    views = [(a, rows_a, glo, tile[glo:glo + group, :cap].swapaxes(1, 2))
+                             for glo in range(0, cm, group)] + [(b, rows_b, 0, tile[:, :, :cap])]
+                    for d, rows, glo, block in views:
+                        # a's candidates lie along the tile's rows: sort copies
+                        # of them before b's view sorts the tile in place.
+                        block = block.copy() if d == a else block
                         block.sort(axis=2)
-                        near[clo:clo + cm, :, where] = block[:, :, :c].swapaxes(1, 2)
+                        near = nears[d][clo + glo:clo + glo + len(block)]
+                        near[:, :, rows] = block[:, :, :near.shape[1]].swapaxes(1, 2)
             delta_eff = np.reshape(_effective_delta(self.cfg, part.sum(axis=1)), (-1, 1, 1))
             gamma_total = np.zeros(m, dtype=np.float64)
             omega_total = np.zeros(m, dtype=np.float64)

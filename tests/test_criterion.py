@@ -279,24 +279,30 @@ def _edge_case(name):
     elif name == "grid-4":
         labels[labels == 3] = 2
         labels[:2] = 3  # class 3 keeps 2 samples, fewer than n_k
+    elif name == "uneven-3":
+        labels = rng.permutation(np.repeat([0, 1, 2], [16, 9, 5]))
     return make_dataset(samples, labels)
 
 
 # wide-2 has two classes of 24, so at n_k=1 a mask's 576 distances keep 48
-# neighbours, few enough that a tail batch holds several chunks.
-EDGE_CASES = ["grid-2", "grid-3", "grid-4", "single-sample", "duplicates",
+# neighbours, few enough that a tail batch holds several chunks. uneven-3
+# has classes of 16, 9 and 5, so its pair blocks differ in size.
+EDGE_CASES = ["grid-2", "grid-3", "grid-4", "uneven-3", "single-sample", "duplicates",
               "constant-columns", "two-samples", "wide-2", *SCALES]
 
 
 class TestMatchesDenseEngine:
     """The class-pair engine equals the dense reference bit for bit, on the
     stored path and on the per-call path, through evaluate and through
-    evaluate_many. evaluate_many runs with a chunk budget below one width
-    or of one mask per chunk (each row adds its features), of 10 (a matrix
-    product per chunk; the last chunk of 511 masks holds one row) or of all
-    of them. On wide-2 at n_k=1 a tail batch holds 2 or 3 chunks and the
-    last one is short. It scores the stack in order, shuffled with some
-    rows repeated, and reversed, and each row must get its own score.
+    evaluate_many. Chunk budgets count the widest class pair's block.
+    evaluate_many runs with a budget below one block or of one, which
+    holds one mask per chunk on the per-call path (each row adds its
+    features) and the floor of ceil(9/4) = 3 masks with the store, of 10
+    (a matrix product per pair and chunk; the last chunk of 511 masks
+    holds one row) or of all of them. On wide-2 at n_k=1 a tail batch
+    holds 2 or 3 chunks and the last one is short. It scores the stack in
+    order, shuffled with some rows repeated, and reversed, and each row
+    must get its own score.
     n_k=5 exceeds the smaller classes, and every mask of 9 features is
     scored, so sums over 8 and 9 selected columns are covered too. On
     grid-2 and wide-2, whose classes hold at least 12 rows, n_k 8, 9 and 12
@@ -328,13 +334,71 @@ class TestMatchesDenseEngine:
                 got = engine.evaluate(mask)
                 assert (got.g_gamma, got.g_omega, got.gc) == want
             want = np.array([gc for _, _, gc in expect])
-            budgets = [per_chunk * engine._width for per_chunk in (1, 10, len(masks))]
-            for budget in [engine._width - 1] + budgets:
+            budgets = [per_chunk * engine._widest for per_chunk in (1, 10, len(masks))]
+            for budget in [engine._widest - 1] + budgets:
                 monkeypatch.setattr(criterion, "_MASK_CHUNK_BUDGET", budget)
                 for rows in orders:
                     got = engine.evaluate_many(masks[rows])
                     assert got.dtype == np.float64
                     assert got.tolist() == want[rows].tolist()
+
+
+class TestPairTiles:
+    """On a 3-class set with the store (uneven-3: blocks of 144, 80 and 45),
+    a chunk of ceil(N/4) masks makes one matrix product per class pair and
+    reads no store row by itself, while one mask adds its rows; and no
+    product's tile holds more than max(budget, ceil(N/4) * widest block)
+    elements."""
+
+    def spies(self, engine, monkeypatch):
+        products, reads = [], []
+        matmul = np.matmul
+
+        def spy(x, y, out):
+            products.append((x.shape[0], out.shape[1]))
+            return matmul(x, y, out=out)
+
+        class Store(np.ndarray):
+            def __getitem__(self, key):
+                reads.append(key)
+                return super().__getitem__(key)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        engine._store = engine._store.view(Store)
+        return products, reads
+
+    def test_one_product_per_pair(self, monkeypatch):
+        ds = _edge_case("uneven-3")
+        engine = CriterionEngine(ds, KernelConfig())
+        floor = -(-ds.n_features // 4)
+        blocks = [flat.stop - flat.start for _, _, flat, *_ in engine._pairs]
+        assert sorted(blocks) == [45, 80, 144] and engine._widest == 144
+        want = engine.evaluate_many(np.eye(ds.n_features, dtype=np.uint8)[:floor])
+        products, reads = self.spies(engine, monkeypatch)
+        monkeypatch.setattr(criterion, "_MASK_CHUNK_BUDGET", engine._widest - 1)
+        got = engine.evaluate_many(np.eye(ds.n_features, dtype=np.uint8)[:floor])
+        assert got.tolist() == want.tolist()
+        assert products == [(floor, block) for block in blocks]
+        assert reads and all(key[0] == slice(None) for key in reads)
+        products.clear()
+        reads.clear()
+        engine.evaluate(np.ones(ds.n_features, dtype=np.uint8))
+        assert products == [] and len(reads) == ds.n_features * len(blocks)
+
+    @pytest.mark.parametrize("per_widest", [0, 1, 2, 5, 600])
+    def test_tiles_within_bound(self, per_widest, monkeypatch):
+        ds = _edge_case("uneven-3")
+        engine = CriterionEngine(ds, KernelConfig())
+        masks = np.array([int_to_mask(v, ds.n_features) for v in range(1, 101)])
+        want = engine.evaluate_many(masks)
+        products, _ = self.spies(engine, monkeypatch)
+        budget = max(1, per_widest * engine._widest - 1)
+        monkeypatch.setattr(criterion, "_MASK_CHUNK_BUDGET", budget)
+        assert engine.evaluate_many(masks).tolist() == want.tolist()
+        floor = -(-ds.n_features // 4)
+        step = min(len(masks), max(floor, budget // engine._widest))
+        assert products[0] == (step, engine._widest)
+        assert max(rows * block for rows, block in products) <= max(budget, floor * engine._widest)
 
 
 def _bound_case(name):

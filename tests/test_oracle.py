@@ -202,13 +202,14 @@ class TestChunking:
             "one-mask-pruned", "ragged-pruned", "below-one-width-pruned"])
     def test_same_result_for_any_chunk_size(self, per_chunk, less, pruning, monkeypatch):
         # 2^N - 1 masks are never a multiple of 4 when N >= 2, so the last
-        # chunk is short. A budget below one width still holds one mask.
+        # chunk is short. Budgets count the widest class pair's block; one
+        # below it still holds one mask, or ceil(N/4) with the store.
         log = force_pruning(monkeypatch) if pruning else None
         cases = [tie_heavy_problem(seed) for seed in range(30)]
         cases.append((make_dataset([[0.0], [1.0], [0.3]], [0, 1, 1]), KCFG))
         for seed, (ds, kcfg) in enumerate(cases):
-            width = CriterionEngine(ds, kcfg)._width
-            monkeypatch.setattr(criterion, "_MASK_CHUNK_BUDGET", per_chunk * width - less)
+            widest = CriterionEngine(ds, kcfg)._widest
+            monkeypatch.setattr(criterion, "_MASK_CHUNK_BUDGET", per_chunk * widest - less)
             got = exhaustive_best(ds, kcfg)
             mask, best, evaluated, runner_up = reference_exhaustive_best(ds, kcfg)
             case = (seed, ds.n_features)
